@@ -1,26 +1,32 @@
 """Loop coefficients of the asymptotic operator and their path data.
 
 A coefficient set (S, C, D) over the circle (S, D symmetric) determines
-a subgroup path through the initial-value problems
+a subgroup path (Psi, X, E).  All of it solves one linear ODE in theta
+for the state W and the generator K,
 
-    Psi' = J0 S Psi,          Psi(0) = I,
-    A'   = J0 S A + J0 C^T,   A(0) = 0,      X = Psi^{-1} A,
-    F'   = C A + D,           F(0) = 0,      E = sym(F),
+        [ B    F ]
+    W = [ Psi  A ],      K = [ C     D      ],      W[:2n+m]' = K W[m:],
+        [ 0    I ]           [ J0 S  J0 C^T ]
 
-integrated here with classical fixed-step RK4 (coefficients are sampled
-at nodes and midpoints through exact trigonometric interpolation, so the
-scheme keeps its full order).  The reverse map recovers the coefficients
-from a sampled path by fourth-order finite differences:
+from W(0) = [[0, 0], [I, 0], [0, I]], that is
+
+    Psi' = J0 S Psi,   A' = J0 S A + J0 C^T,   F' = C A + D,   B' = C Psi,
+
+and the path blocks are X = Psi^{-1} A and E = sym(F).  B, whose exact
+value is X^T J0, and the antisymmetric part of F, whose exact value is
+X^T J0 X / 2, are kept as consistency diagnostics.  K is tabulated at
+the theta nodes and midpoints (coefficients are sampled there through
+exact trigonometric interpolation, so classical fixed-step RK4 keeps its
+full order), and each RK4 stage is one batched product K W.  The layout
+of K and W is known to this module alone.  The reverse map recovers the
+coefficients from a sampled path by fourth-order finite differences:
 
     S = sym(-J0 Psi' Psi^{-1}),  C = X'^T Psi^T J0,  D = E' + sym(X^T J0 X').
-
-The integrator also carries B' = C Psi, whose exact value is X^T J0;
-that residual is reported as a consistency diagnostic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -108,33 +114,12 @@ class OperatorCoefficients:
         self.d = sym_part(d) if dims.m else d
         self.n_theta = n_theta
 
-    @classmethod
-    def from_callables(cls, dims: Dimensions, s_fn, c_fn, d_fn,
-                       n_theta: int = 512) -> "OperatorCoefficients":
-        thetas = np.arange(n_theta) / n_theta
-        s = np.stack([np.asarray(s_fn(t), dtype=float) for t in thetas])
-        c = np.stack([np.asarray(c_fn(t), dtype=float).reshape(dims.m, dims.loop)
-                      for t in thetas])
-        d = np.stack([np.asarray(d_fn(t), dtype=float).reshape(dims.m, dims.m)
-                      for t in thetas])
-        return cls(dims, s, c, d)
-
     def resampled(self, n_theta: int) -> "OperatorCoefficients":
         if n_theta == self.n_theta:
             return self
         thetas = np.arange(n_theta) / n_theta
         return OperatorCoefficients(self.dims, trig_eval(self.s, thetas),
                                     trig_eval(self.c, thetas), trig_eval(self.d, thetas))
-
-    def stage_tables(self):
-        """(node, midpoint) tables with the wrap node appended."""
-
-        def tables(arr):
-            nodes = np.concatenate([arr, arr[:1]], axis=0)
-            mids = periodic_midpoints(arr, axis=0)
-            return nodes, mids
-
-        return tables(self.s), tables(self.c), tables(self.d)
 
 
 @dataclass
@@ -175,84 +160,113 @@ class PathData:
                                     dpsi=self.dpsi, dx=self.dx, de=self.de)
 
 
-def _rk4_components(dims: Dimensions, j0s, j0ct, cf, df, keep_nodes: bool = True):
-    """One integration over theta; leading batch axis on every table.
+def _quarters(dims: Dimensions, mat: np.ndarray):
+    """Views of the four blocks of K, of K W, or of W's moving rows.
 
-    Tables: j0s = J0 S at ((B, N+1, ...) nodes, (B, N, ...) midpoints),
-    likewise j0ct = J0 C^T, cf = C, df = D.  Returns node trajectories
-    of Psi, A, F (the raw parameter integral) and B (integral of C Psi),
-    or just the final states when keep_nodes is false.
+    K = [[C, D], [J0 S, J0 C^T]], W[:2n+m] = [[B, F], [Psi, A]] and
+    K W[m:] = [[B', F'], [Psi', A']] share one layout: m rows above 2n,
+    2n columns left of m.
     """
-    (j0s_n, j0s_m) = j0s
-    (j0ct_n, j0ct_m) = j0ct
-    (cf_n, cf_m) = cf
-    (df_n, df_m) = df
-    batch = j0s_n.shape[0]
-    nsteps = j0s_n.shape[1] - 1
-    ln, pm = dims.loop, dims.m
-    h = 1.0 / nsteps
-
-    psi = np.broadcast_to(np.eye(ln), (batch, ln, ln)).copy()
-    a = np.zeros((batch, ln, pm))
-    f = np.zeros((batch, pm, pm))
-    bacc = np.zeros((batch, pm, ln))
-
-    if keep_nodes:
-        psis = np.empty((batch, nsteps + 1, ln, ln))
-        as_ = np.empty((batch, nsteps + 1, ln, pm))
-        fs = np.empty((batch, nsteps + 1, pm, pm))
-        bs = np.empty((batch, nsteps + 1, pm, ln))
-        psis[:, 0], as_[:, 0], fs[:, 0], bs[:, 0] = psi, a, f, bacc
-
-    def rhs(js, jct, cc, dd, y):
-        p, aa, _, _ = y
-        return (js @ p, js @ aa + jct, cc @ aa + dd, cc @ p)
-
-    for i in range(nsteps):
-        y = (psi, a, f, bacc)
-        k1 = rhs(j0s_n[:, i], j0ct_n[:, i], cf_n[:, i], df_n[:, i], y)
-        y2 = tuple(v + 0.5 * h * k for v, k in zip(y, k1))
-        k2 = rhs(j0s_m[:, i], j0ct_m[:, i], cf_m[:, i], df_m[:, i], y2)
-        y3 = tuple(v + 0.5 * h * k for v, k in zip(y, k2))
-        k3 = rhs(j0s_m[:, i], j0ct_m[:, i], cf_m[:, i], df_m[:, i], y3)
-        y4 = tuple(v + h * k for v, k in zip(y, k3))
-        k4 = rhs(j0s_n[:, i + 1], j0ct_n[:, i + 1], cf_n[:, i + 1], df_n[:, i + 1], y4)
-        psi, a, f, bacc = tuple(
-            v + (h / 6.0) * (p1 + 2 * p2 + 2 * p3 + p4)
-            for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4))
-        if keep_nodes:
-            psis[:, i + 1], as_[:, i + 1], fs[:, i + 1], bs[:, i + 1] = psi, a, f, bacc
-        if i % 64 == 63 and float(np.max(np.abs(psi))) > BLOWUP_LIMIT:
-            raise IntegratorBlowup(f"|Psi| exceeded {BLOWUP_LIMIT:.0e} at step {i + 1}")
-
-    if keep_nodes:
-        return psis, as_, fs, bs
-    return psi, a, f, bacc
+    pm, ln = dims.m, dims.loop
+    return (mat[..., :pm, :ln], mat[..., :pm, ln:],
+            mat[..., pm:pm + ln, :ln], mat[..., pm:pm + ln, ln:])
 
 
-def _finalize_path(dims: Dimensions, thetas, psis, as_, fs, bs,
-                   node_tables=None) -> PathData:
-    """Turn one batched trajectory row into PathData with X and E.
+def generator(dims: Dimensions, j0s, j0ct, c, d) -> np.ndarray:
+    """K from its blocks J0 S, J0 C^T, C and D; batched over leading axes."""
+    k = np.empty(np.shape(j0s)[:-2] + (dims.loop + dims.m,) * 2)
+    for block, value in zip(_quarters(dims, k), (c, d, j0s, j0ct)):
+        block[...] = value
+    return k
 
-    node_tables = (J0 S, J0 C^T, C, D) at the nodes; when given, the
-    stored-block derivatives dPsi = J0 S Psi, dX = Psi^-1 J0 C^T and
-    dE = Sym(C Psi X + D) are recorded exactly.
+
+def _generator_tables(dims: Dimensions, s, c, d):
+    """K at the theta nodes (wrap node appended) and at the midpoints.
+
+    s, c, d are periodic samples batched as (B, N, ...).  Each block is
+    written in place, so no second full-size copy of the tables is live.
     """
     j0 = dims.j_loop()
-    defect = float(np.max(np.abs(np.swapaxes(psis, -1, -2) @ j0 @ psis - j0)))
+    batch, n_theta = s.shape[:2]
+    size = dims.loop + dims.m
+    nodes = np.empty((batch, n_theta + 1, size, size))
+    mids = np.empty((batch, n_theta, size, size))
+    for tab, at in ((nodes[:, :-1], lambda arr: arr),
+                    (mids, lambda arr: periodic_midpoints(arr, axis=1))):
+        c_k, d_k, j0s_k, j0ct_k = _quarters(dims, tab)
+        c_k[...] = at(c)
+        d_k[...] = at(d)
+        np.matmul(j0, at(s), out=j0s_k)
+        np.matmul(j0, np.swapaxes(c_k, -1, -2), out=j0ct_k)
+    nodes[:, -1] = nodes[:, 0]
+    return nodes, mids
+
+
+def _propagate(dims: Dimensions, nodes: np.ndarray, mids: np.ndarray,
+               keep_nodes: bool = True) -> np.ndarray:
+    """Classical RK4 for W' = K W over theta in [0, 1], batched.
+
+    nodes (B, N+1, ...) and mids (B, N, ...) are tables of K.  Returns
+    the node trajectory of W, (B, N+1, 2n+2m, 2n+m), or just W(1) when
+    keep_nodes is false.
+    """
+    batch, nsteps = mids.shape[:2]
+    pm, size = dims.m, dims.loop + dims.m
+    h = 1.0 / nsteps
+    w = np.zeros((batch, size + pm, size))
+    w[:, pm:] = np.eye(size)
+    stage = w.copy()
+    psi = _quarters(dims, w)[2]
+    if keep_nodes:
+        ws = np.empty((batch, nsteps + 1) + w.shape[1:])
+        ws[:, 0] = w
+    for i in range(nsteps):
+        k1 = nodes[:, i] @ w[:, pm:]
+        stage[:, :size] = w[:, :size] + 0.5 * h * k1
+        k2 = mids[:, i] @ stage[:, pm:]
+        stage[:, :size] = w[:, :size] + 0.5 * h * k2
+        k3 = mids[:, i] @ stage[:, pm:]
+        stage[:, :size] = w[:, :size] + h * k3
+        k4 = nodes[:, i + 1] @ stage[:, pm:]
+        w[:, :size] += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if keep_nodes:
+            ws[:, i + 1] = w
+        if i % 64 == 63 and float(np.max(np.abs(psi))) > BLOWUP_LIMIT:
+            raise IntegratorBlowup(f"|Psi| exceeded {BLOWUP_LIMIT:.0e} at step {i + 1}")
+    return ws if keep_nodes else w
+
+
+def _state_blocks(dims: Dimensions, w: np.ndarray):
+    """(B, F, Psi, A) of a batch of states, as contiguous arrays."""
+    return tuple(np.ascontiguousarray(q) for q in _quarters(dims, w))
+
+
+def integrate_path(dims: Dimensions, thetas: np.ndarray, nodes: np.ndarray,
+                   mids: np.ndarray) -> PathData:
+    """Integrate one set of K tables into PathData on the theta nodes.
+
+    The node derivatives are exact ODE right-hand sides: dPsi and dE
+    come from K W, dX = Psi^-1 J0 C^T.
+    """
+    w = _propagate(dims, nodes[None], mids[None])[0]
+    b_raw, f_raw, psi, a = _state_blocks(dims, w)
+    j0 = dims.j_loop()
+    defect = float(np.max(np.abs(np.swapaxes(psi, -1, -2) @ j0 @ psi - j0)))
     if defect > SYMPLECTIC_LOSS:
         raise SymplecticityLoss(f"loop part lost symplecticity (defect {defect:.3e})")
-    psi_inv = symplectic_inverse(psis, j0)
-    x = psi_inv @ as_
-    e = sym_part(fs)
-    dpsi = dx = de = None
-    if node_tables is not None:
-        j0s_n, j0ct_n, cf_n, df_n = node_tables
-        dpsi = j0s_n @ psis
-        dx = psi_inv @ j0ct_n
-        de = sym_part(cf_n @ as_ + df_n)
-    return PathData(dims, thetas, psis, x, e, f_raw=fs, b_raw=bs,
-                    dpsi=dpsi, dx=dx, de=de)
+    psi_inv = symplectic_inverse(psi, j0)
+    _, df, dpsi, _ = _state_blocks(dims, nodes @ w[:, dims.m:])
+    j0ct = _quarters(dims, nodes)[3]
+    return PathData(dims, thetas, psi, psi_inv @ a, sym_part(f_raw),
+                    f_raw=f_raw, b_raw=b_raw, dpsi=dpsi, dx=psi_inv @ j0ct,
+                    de=sym_part(df))
+
+
+def return_data(dims: Dimensions, s, c, d):
+    """(Psi, X, E) at theta = 1 for periodic samples batched as (B, N, ...)."""
+    w = _propagate(dims, *_generator_tables(dims, s, c, d), keep_nodes=False)
+    _, f, psi, a = _state_blocks(dims, w)
+    return psi, symplectic_inverse(psi, dims.j_loop()) @ a, sym_part(f)
 
 
 def path_from_coefficients(coeffs: OperatorCoefficients,
@@ -260,19 +274,10 @@ def path_from_coefficients(coeffs: OperatorCoefficients,
     """Integrate the coefficient ODEs into a sampled subgroup path."""
     if nsteps is not None and nsteps != coeffs.n_theta:
         coeffs = coeffs.resampled(nsteps)
-    dims = coeffs.dims
-    j0 = dims.j_loop()
-    (s_n, s_m), (c_n, c_m), (d_n, d_m) = coeffs.stage_tables()
-    ct_n = np.swapaxes(c_n, -1, -2)
-    ct_m = np.swapaxes(c_m, -1, -2)
-    tables = ((j0 @ s_n[None], j0 @ s_m[None]),
-              (j0 @ ct_n[None], j0 @ ct_m[None]),
-              (c_n[None], c_m[None]),
-              (d_n[None], d_m[None]))
-    psis, as_, fs, bs = _rk4_components(dims, *tables)
+    nodes, mids = _generator_tables(coeffs.dims, coeffs.s[None], coeffs.c[None],
+                                   coeffs.d[None])
     thetas = np.linspace(0.0, 1.0, coeffs.n_theta + 1)
-    return _finalize_path(dims, thetas, psis[0], as_[0], fs[0], bs[0],
-                          node_tables=(j0 @ s_n, j0 @ ct_n, c_n, d_n))
+    return integrate_path(coeffs.dims, thetas, nodes[0], mids[0])
 
 
 def coefficients_from_path(pd: PathData):

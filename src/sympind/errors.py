@@ -80,10 +80,6 @@ class IrregularCrossing(NumericalError):
     code = "IRREGULAR_CROSSING"
 
 
-class SingularMatrix(NumericalError):
-    code = "SINGULAR_MATRIX"
-
-
 class IntegratorBlowup(NumericalError):
     code = "INTEGRATOR_BLOWUP"
 

@@ -7,32 +7,33 @@ the standard structure J0: the field is X_H = -J0 grad_x H, so the
 linearization Dx X_H equals J0 S with S = -Hess_x H symmetric.
 
 Around a critical point (a loop gamma with matching parameter vector)
-the linearized return data (Psi, X, E) is integrated jointly:
+the linearized return data (Psi, X, E) solves the linear ODE of
+coefficients.py for one state W = [[B, F], [Psi, A], [0, I]] with the
+generator sampled along the loop,
 
-    Psi' = (Dx X_H) Psi                     Psi(0) = I
-    A'   = (Dx X_H) A + Dlam X_H            A(0) = 0,  X = Psi^{-1} A
-    F'   = -Hmix [A; I]                     F(0) = 0,  E = sym(F)
-    B'   = -(d/dx grad_lam H) Psi           B(0) = 0
+    K = [ -(d/dx grad_lam H)   -(d/dlam grad_lam H) ]
+        [  Dx X_H               Dlam X_H            ],
 
-B and the antisymmetric part of F are redundant with X; their residuals
+so Psi' = (Dx X_H) Psi, A' = (Dx X_H) A + Dlam X_H, F' = -Hmix [A; I] and
+B' = -(d/dx grad_lam H) Psi, with X = Psi^{-1} A and E = sym(F).  B and
+the antisymmetric part of F are redundant with X; their residuals
 certify that the assembled extended matrix really is the differential
 of the parametrized flow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .coefficients import PathData, _finalize_path, _rk4_components, trig_eval
+from .coefficients import PathData, generator, integrate_path, trig_eval
 from .errors import (DegenerateEndpoint, DimensionMismatch, InvalidInput,
                      ShapeError)
-from .halfint import HalfInteger
-from .linalg import standard_j, sym_part
 from .paths import KernelFamily
-from .rsindex import IndexResult, rs_index_stratified
+from .rsindex import (IndexResult, endpoint_sigma, is_nondegenerate,
+                      rs_index_stratified)
 from .snm import Dimensions
 
 TOL_CRIT = 1e-6
@@ -190,13 +191,8 @@ def linearized_flow_path(system: HamiltonianSystem, point: CriticalPoint,
             f"jac_x is not infinitesimally symplectic (defect {asym:.3e}); "
             "check the sign convention of the vector field")
 
-    tables = ((jx_n[None], jx_m[None]),
-              (jl_n[None], jl_m[None]),
-              ((-hx_n)[None], (-hx_m)[None]),
-              ((-hl_n)[None], (-hl_m)[None]))
-    psis, as_, fs, bs = _rk4_components(dims, *tables)
-    return _finalize_path(dims, node_t, psis[0], as_[0], fs[0], bs[0],
-                          node_tables=(jx_n, jl_n, -hx_n, -hl_n))
+    return integrate_path(dims, node_t, generator(dims, jx_n, jl_n, -hx_n, -hl_n),
+                          generator(dims, jx_m, jl_m, -hx_m, -hl_m))
 
 
 @dataclass
@@ -239,14 +235,16 @@ def parametrized_rs_index(pd: PathData, tol_sv: Optional[float] = None,
                           sample_hint: Optional[int] = None) -> IndexResult:
     """Index of the linearized return path with the dual-slot family.
 
-    The endpoint must be nondegenerate: the kernel of the extended return
-    matrix may contain nothing beyond the structural dual directions.
+    The endpoint must be nondegenerate (is_nondegenerate): the kernel of
+    the extended return matrix may contain nothing beyond the structural
+    dual directions, with the margin find_crossings needs.
     """
     kwargs = {} if tol_sv is None else {"tol_sv": tol_sv}
-    stratum = pd.endpoint().stratum(**kwargs)
-    if stratum != 0:
+    el = pd.endpoint()
+    if not is_nondegenerate(el, **kwargs):
         raise DegenerateEndpoint(
-            f"return map is degenerate (stratum {stratum} at theta = 1)")
+            "return map is degenerate at theta = 1 (relative monitored "
+            f"singular value {endpoint_sigma(el):.3e})")
     snm = pd.to_snm_path(sample_hint=sample_hint)
     path = snm.to_path()
     family = KernelFamily.dual_slot(pd.dims)

@@ -9,8 +9,7 @@ index; the m dual directions of a subgroup path are the standard one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -230,14 +229,6 @@ class SnmPath:
         return self.transform(
             lambda p, t: linalg.symplectic_inverse(p, j0),
             lambda p, x, t: x,
-            lambda e, t: -e)
-
-    def transpose_transform(self) -> "SnmPath":
-        """Componentwise (Psi^T, J0 Psi X, -E)."""
-        j0 = self.dims.j_loop()
-        return self.transform(
-            lambda p, t: np.swapaxes(p, -1, -2),
-            lambda p, x, t: j0 @ p @ x,
             lambda e, t: -e)
 
     @classmethod
@@ -535,21 +526,3 @@ def reverse(path: SymplecticPath) -> SymplecticPath:
     return SymplecticPath((a, b), evaluate, derivative, jmat=path.jmat,
                           sample_hint=path.sample_hint)
 
-
-def reparametrize(path: SymplecticPath, tau: Callable, dtau: Optional[Callable] = None) -> SymplecticPath:
-    """t -> M(tau(t)) for an increasing tau fixing the endpoints."""
-    a, b = path.domain
-
-    def evaluate(t):
-        return path(np.clip(tau(np.asarray(t, dtype=float)), a, b))
-
-    derivative = None
-    if dtau is not None:
-        def derivative(t):
-            t = np.asarray(t, dtype=float)
-            dm = path.deriv(np.clip(tau(t), a, b))
-            w = np.asarray(dtau(t), dtype=float)
-            return w[..., None, None] * dm if dm.ndim == 3 else float(w) * dm
-
-    return SymplecticPath((a, b), evaluate, derivative, jmat=path.jmat,
-                          sample_hint=path.sample_hint)

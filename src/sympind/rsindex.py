@@ -16,8 +16,8 @@ call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import (ContainmentError, InvalidInput, IrregularCrossing,
 from .halfint import HalfInteger
 from .linalg import TOL_EIG, TOL_SV, inertia, kernel_basis, sym_part
 from .paths import KernelFamily, SymplecticPath
+from .snm import SnmElement
 
 BISECT_ITERS = 60
 SYMPLECTIC_LOSS = 1e-6
@@ -83,6 +84,26 @@ def _monitored_sigma(path: SymplecticPath, ts: np.ndarray, floor: int):
         raise InvalidInput("stratum floor exceeds the matrix size")
     g = sv[..., path.size - 1 - floor]
     return g, sv[..., 0]
+
+
+def endpoint_sigma(el: SnmElement) -> float:
+    """Relative monitored singular value of M - I for a subgroup element.
+
+    The (m+1)-th smallest singular value over max(sigma_max, 1), which is
+    what find_crossings compares with its cuts at stratum floor m.
+    """
+    sv = np.linalg.svd(el.to_matrix() - np.eye(el.dims.total), compute_uv=False)
+    return float(sv[-1 - el.dims.m] / max(float(sv[0]), 1.0))
+
+
+def is_nondegenerate(el: SnmElement, tol_sv: float = TOL_SV) -> bool:
+    """No kernel beyond the dual slot, clear of the ambiguous band.
+
+    The relative monitored singular value must exceed
+    tol_sv ** AMBIGUITY_EXPONENT: a value between tol_sv and that cut has
+    no kernel at tol_sv, yet find_crossings refuses it as unresolved.
+    """
+    return endpoint_sigma(el) > tol_sv ** AMBIGUITY_EXPONENT
 
 
 def _edge_rebound_candidates(path: SymplecticPath, floor: int, edge: float,
@@ -376,15 +397,14 @@ def rs_index_stratified(path: SymplecticPath, family: KernelFamily,
 
 def rs_index(path: SymplecticPath, tol_sv: float = TOL_SV, tol_eig: float = TOL_EIG,
              samples: Optional[int] = None,
-             bisect_iters: int = BISECT_ITERS, validate: bool = False) -> IndexResult:
+             bisect_iters: int = BISECT_ITERS) -> IndexResult:
     """Classical index: no distinguished family along the path.
 
     Every crossing form must be nondegenerate (IrregularCrossing
-    otherwise); the validate flag is inert here because the trivial
-    family needs no invariance check.
+    otherwise).
     """
     return rs_index_stratified(path, _trivial_family(path.size), tol_sv, tol_eig,
-                               samples, bisect_iters, validate=validate)
+                               samples, bisect_iters)
 
 
 def snm_index(snm_path, **kwargs) -> IndexResult:

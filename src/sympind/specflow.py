@@ -24,21 +24,20 @@ path derivative, from the endpoint-block display, and from the reduced
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .coefficients import (OperatorCoefficients, PathData, _finalize_path,
-                           _rk4_components, path_from_coefficients,
-                           periodic_midpoints)
+from .coefficients import (OperatorCoefficients, PathData,
+                           path_from_coefficients, return_data)
 from .errors import (DegenerateAsymptote, InvalidInput, ShapeError,
                      TruncationUnstable)
 from .halfint import HalfInteger
-from .linalg import (TOL_SV, inertia, kernel_basis, sym_part,
-                     symplectic_inverse)
+from .linalg import TOL_SV, kernel_basis, sym_part, symplectic_inverse
 from .paths import KernelFamily, SymplecticPath
-from .rsindex import CrossingReport, IndexResult, rs_index_stratified
+from .rsindex import (CrossingReport, endpoint_sigma, is_nondegenerate,
+                      rs_index_stratified)
 from .snm import Dimensions, SnmElement, assemble_blocks, reduced_return_matrix
 
 S_SPAN = 16.0
@@ -85,9 +84,6 @@ class OperatorFamily:
         self._spline_s = CubicSpline(self.s_grid, self.s_table, axis=0)
         self._spline_c = CubicSpline(self.s_grid, self.c_table, axis=0)
         self._spline_d = CubicSpline(self.s_grid, self.d_table, axis=0)
-        self._dspline_s = self._spline_s.derivative()
-        self._dspline_c = self._spline_c.derivative()
-        self._dspline_d = self._spline_d.derivative()
 
     def _validate(self) -> None:
         for name, arr in (("S", self.s_table), ("D", self.d_table)):
@@ -137,33 +133,10 @@ class OperatorFamily:
         return (self._spline_s(s_batch), self._spline_c(s_batch),
                 self._spline_d(s_batch))
 
-    def ds_tables_at(self, s_batch: np.ndarray):
-        s_batch = np.asarray(s_batch, dtype=float)
-        return (self._dspline_s(s_batch), self._dspline_c(s_batch),
-                self._dspline_d(s_batch))
-
     def return_data_at(self, s_batch: np.ndarray):
         """(Psi, X, E) at theta = 1 for a batch of s values."""
         s_arr = np.atleast_1d(np.asarray(s_batch, dtype=float))
-        st, ct, dt = self.tables_at(s_arr)
-        j0 = self.dims.j_loop()
-
-        def staged(tab):
-            nodes = np.concatenate([tab, tab[:, :1]], axis=1)
-            mids = periodic_midpoints(tab, axis=1)
-            return nodes, mids
-
-        s_n, s_m = staged(st)
-        c_n, c_m = staged(ct)
-        d_n, d_m = staged(dt)
-        ct_n = np.swapaxes(c_n, -1, -2)
-        ct_m = np.swapaxes(c_m, -1, -2)
-        tables = ((j0 @ s_n, j0 @ s_m), (j0 @ ct_n, j0 @ ct_m),
-                  (c_n, c_m), (d_n, d_m))
-        psi, a, f, _ = _rk4_components(self.dims, *tables, keep_nodes=False)
-        x = symplectic_inverse(psi, j0) @ a
-        e = sym_part(f)
-        return psi, x, e
+        return return_data(self.dims, *self.tables_at(s_arr))
 
     def return_path(self) -> SymplecticPath:
         """The path s -> M(s, 1) as a vectorized symplectic path."""
@@ -241,15 +214,16 @@ def random_operator_family(dims: Dimensions, seed: int, n_theta: int = 512,
                            max_tries: int = 16) -> OperatorFamily:
     """Seeded family with nondegenerate asymptotes (retrying the draw).
 
-    Degeneracy of a drawn asymptote is rejected by the kernel count of
-    its return matrix; the retry is deterministic in the seed.
+    A drawn asymptote must pass is_nondegenerate at FLOW_TOL_SV, the
+    check spectral_flow_matrix makes; the retry is deterministic in the
+    seed.
     """
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         left = random_coefficients(dims, rng, n_theta, degree, alpha)
         right = random_coefficients(dims, rng, n_theta, degree, alpha)
-        if (asymptotic_kernel(left).dimension == 0
-                and asymptotic_kernel(right).dimension == 0):
+        if all(is_nondegenerate(asymptotic_kernel(c).element, FLOW_TOL_SV)
+               for c in (left, right)):
             return OperatorFamily.from_asymptotes(left, right, s_span, s_count)
     raise InvalidInput(f"no nondegenerate asymptote pair found for seed {seed}")
 
@@ -390,10 +364,12 @@ def spectral_flow_matrix(fam: OperatorFamily, tol_sv: float = FLOW_TOL_SV,
     """Spectral flow as the stratified index of the endpoint-matrix path."""
     for side, coeffs in (("left", fam.left_asymptote()),
                          ("right", fam.right_asymptote())):
-        dim = asymptotic_kernel(coeffs).dimension
-        if dim:
+        kernel = asymptotic_kernel(coeffs)
+        if not is_nondegenerate(kernel.element, tol_sv):
             raise DegenerateAsymptote(
-                f"{side} asymptote is degenerate (kernel dimension {dim})")
+                f"{side} asymptote is degenerate (kernel dimension "
+                f"{kernel.dimension}, relative monitored singular value "
+                f"{endpoint_sigma(kernel.element):.3e})")
     path = fam.return_path()
     family = KernelFamily.dual_slot(fam.dims)
     result = rs_index_stratified(path, family, tol_sv=tol_sv, samples=samples,

@@ -362,7 +362,7 @@ def _axiom_splitting(rng: np.random.Generator, dims: Dimensions) -> Tuple[bool, 
     snm = SnmPath(dims, psi_path, xfn, efn, dpsi=psi_path.deriv, dx=xfn,
                   de=defn, sample_hint=192)
     mu = _dual_index(snm).value
-    mu_psi = rs_index(psi_path, validate=True).value
+    mu_psi = rs_index(psi_path).value
     shear = HalfInteger(signature(e0 + e1) - signature(e0))
     ok = mu == mu_psi + shear
     return ok, f"{mu} == {mu_psi} + {shear}"

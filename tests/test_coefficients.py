@@ -6,8 +6,8 @@ from scipy.linalg import expm
 
 from sympind import (Dimensions, OperatorCoefficients, coefficients_from_path,
                      loop_identity_residuals, path_from_coefficients)
-from sympind.errors import InvalidInput, ShapeError
-from sympind.specflow import random_coefficients
+from sympind.errors import IntegratorBlowup, InvalidInput, ShapeError
+from sympind.specflow import random_coefficients, random_operator_family
 
 
 def _constant_coeffs(dims, s0, c0, d0, n_theta=256):
@@ -86,6 +86,30 @@ def test_spline_derivative_is_ode_exact_at_the_start():
     d0 = path.deriv(0.0)
     want = dims.j_loop() @ coeffs.s[0]  # Psi(0) = I
     np.testing.assert_allclose(d0[:2, :2], want, atol=1e-9)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2)])
+def test_batched_return_data_matches_single_path(n, m):
+    # the batched endpoint propagation and the node-keeping path of one
+    # s value integrate the same tables; frozen ends included
+    fam = random_operator_family(Dimensions(n, m), seed=20 + n)
+    s_vals = np.array([fam.s_min - 3.0, fam.s_min, -0.8, 0.3, 2.1,
+                       fam.s_max, fam.s_max + 3.0])
+    psi, x, e = fam.return_data_at(s_vals)
+    for i, s in enumerate(s_vals):
+        el = path_from_coefficients(fam.coefficients_at(s)).endpoint()
+        np.testing.assert_allclose(psi[i], el.psi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x[i], el.x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(e[i], el.e, rtol=0, atol=1e-12)
+
+
+def test_hyperbolic_growth_raises_blowup():
+    # J0 S = diag(-40, 40): |Psi| = e^{40 theta} passes 1e8 between the
+    # checks at steps 192 and 256
+    coeffs = _constant_coeffs(Dimensions(1, 0), [[0.0, 40.0], [40.0, 0.0]],
+                              [], [], n_theta=512)
+    with pytest.raises(IntegratorBlowup, match="step 256"):
+        path_from_coefficients(coeffs)
 
 
 def test_resampling_is_exact_for_band_limited_tables():

@@ -100,6 +100,16 @@ def test_main_theorem_single_instance():
                for c in report.flow_matrix.crossings)
 
 
+def test_generator_skips_asymptotes_in_the_ambiguous_band():
+    # the first draw of seed 6001 has a left asymptote at relative
+    # monitored singular value 2.7e-5: no kernel at tol_sv, but inside
+    # the band where find_crossings refuses it
+    fam = random_operator_family(Dimensions(2, 1), seed=6001)
+    left = path_from_coefficients(fam.left_asymptote())
+    right = path_from_coefficients(fam.right_asymptote())
+    assert main_theorem_check(left, right, fam).ok
+
+
 def test_family_input_validation():
     left = _anchor_coeffs(-1.0)
     wrong = _anchor_coeffs(1.0, m=2)
