@@ -10,7 +10,16 @@ Crossing instants are located by scanning the monitored singular value
 of M(t) - I (the (d+1)-th smallest, d = family dimension) on a grid and
 then bisecting on its slope sign, which halves the bracket every step.
 All scans are batched, so grids of hundreds of points cost a single SVD
-call.
+call.  An index call evaluates its scan grid once: the symplectic-defect
+check, the family validation and the crossing scan share that batch.
+
+Bisection skips clear misses.  By Weyl's inequality no singular value of
+M - I moves by more than |M(t) - M(t')|_F between two instants, so a
+candidate whose best value stays above the ambiguous cut even after
+that much drift across its bracket can never be accepted or flagged as
+unresolved, and is dropped unrefined.  The drift is bounded with the
+rate read off the scan grid, so the rule assumes, as the scan does, that
+the grid resolves M' to within the factor SAFETY.
 """
 
 from __future__ import annotations
@@ -31,6 +40,8 @@ from .paths import KernelFamily, SymplecticPath
 from .snm import SnmElement
 
 BISECT_ITERS = 60
+# margin on the grid's estimate of |M'| when pruning clear misses
+SAFETY = 2.0
 SYMPLECTIC_LOSS = 1e-6
 # refined minima above sqrt(tol) are clean misses; in between is unresolved
 AMBIGUITY_EXPONENT = 0.5
@@ -75,15 +86,18 @@ class IndexResult:
         return twice
 
 
-def _monitored_sigma(path: SymplecticPath, ts: np.ndarray, floor: int):
-    """Monitored singular value of M(t)-I and the largest one, batched."""
-    m = path(np.atleast_1d(np.asarray(ts, dtype=float)))
-    r = m - np.eye(path.size)
-    sv = np.linalg.svd(r, compute_uv=False)  # descending
-    if floor >= path.size:
+def _sigma_of(ms: np.ndarray, floor: int):
+    """Monitored singular value of M-I and the largest one, batched."""
+    size = ms.shape[-1]
+    if floor >= size:
         raise InvalidInput("stratum floor exceeds the matrix size")
-    g = sv[..., path.size - 1 - floor]
-    return g, sv[..., 0]
+    sv = np.linalg.svd(ms - np.eye(size), compute_uv=False)  # descending
+    return sv[..., size - 1 - floor], sv[..., 0]
+
+
+def _monitored_sigma(path: SymplecticPath, ts: np.ndarray, floor: int):
+    """The same, evaluating the path at ts."""
+    return _sigma_of(path(np.atleast_1d(np.asarray(ts, dtype=float))), floor)
 
 
 def endpoint_sigma(el: SnmElement) -> float:
@@ -139,13 +153,14 @@ def _edge_rebound_candidates(path: SymplecticPath, floor: int, edge: float,
         if ratio[i] <= ratio[i - 1] and ratio[i] <= ratio[i + 1] and ratio[i] <= cut:
             lo_t, hi_t = sorted((float(ts[i - 1]), float(ts[i + 1])))
             out.append((lo_t, hi_t, float(ts[i]), float(g[i]),
-                        max(float(top[i]), 1.0)))
+                        max(float(top[i]), 1.0), math.inf))
     return out
 
 
 def find_crossings(path: SymplecticPath, stratum_floor: int = 0,
                    tol_sv: float = TOL_SV, samples: Optional[int] = None,
-                   bisect_iters: int = BISECT_ITERS) -> List[CrossingLocation]:
+                   bisect_iters: int = BISECT_ITERS, *,
+                   grid: Optional[np.ndarray] = None) -> List[CrossingLocation]:
     """Bracketed instants where dim ker(M(t)-I) exceeds stratum_floor.
 
     Endpoints are tested directly.  Interior candidates are the local
@@ -158,11 +173,29 @@ def find_crossings(path: SymplecticPath, stratum_floor: int = 0,
     minimum in the ambiguous band between tol_sv and sqrt(tol_sv) raises
     UnresolvedCrossing (tangential behaviour); persistent degeneracy
     over consecutive grid points raises NonIsolated.
+
+    grid, when given, holds the path's matrices on the scan grid (the
+    samples + 1 points of linspace over the domain) so a caller that
+    already evaluated them pays nothing here; otherwise they are
+    evaluated.  Each scan candidate carries the rate L: the larger
+    Frobenius norm of the grid differences beside it, over the step.
+    Before every bisection round, with r = SAFETY * L * w where w is the
+    width of the hull of its bracket and its best probe, a candidate with
+    best_g - r > cut * (best_scale + r), cut = tol_sv ** AMBIGUITY_EXPONENT,
+    is dropped: by Weyl's inequality every later probe would end above
+    the cut, so it would be neither accepted nor unresolved.  This holds
+    when the grid resolves M' to within the factor SAFETY.  Rebound
+    candidates have no grid rate (L = inf) and are never dropped.
     """
     a, b = path.domain
     count = path.sample_hint if samples is None else int(samples)
     ts = np.linspace(a, b, count + 1)
-    g, top = _monitored_sigma(path, ts, stratum_floor)
+    if grid is None:
+        grid = path(ts)
+    elif np.shape(grid) != (count + 1, path.size, path.size):
+        raise InvalidInput(f"grid must hold the path at {count + 1} scan points, "
+                           f"got shape {np.shape(grid)}")
+    g, top = _sigma_of(grid, stratum_floor)
     scale = np.maximum(top, 1.0)
     below = g <= tol_sv * scale
 
@@ -194,8 +227,12 @@ def find_crossings(path: SymplecticPath, stratum_floor: int = 0,
     if count >= 2 and not below[-1] and g[count] <= g[count - 1]:
         interior_min.append(count)
 
-    cand = [(ts[max(i - 1, 0)], ts[min(i + 1, count)], ts[i], g[i], scale[i])
-            for i in interior_min]
+    # rate L of M at each sample: the larger grid difference beside it
+    diff = np.linalg.norm(np.diff(grid, axis=0), axis=(-2, -1))
+    side = np.concatenate([diff[:1], np.maximum(diff[:-1], diff[1:]), diff[-1:]])
+    grid_rate = side * (count / (b - a))
+    cand = [(ts[max(i - 1, 0)], ts[min(i + 1, count)], ts[i], g[i], scale[i],
+             grid_rate[i]) for i in interior_min]
     if count >= 2 and below[0]:
         cand.extend(_edge_rebound_candidates(path, stratum_floor, float(a),
                                              float(ts[2]), tol_sv))
@@ -215,9 +252,16 @@ def find_crossings(path: SymplecticPath, stratum_floor: int = 0,
         best_t = np.array([c[2] for c in cand_list])
         best_g = np.array([c[3] for c in cand_list])
         best_scale = np.array([c[4] for c in cand_list])
+        rate = np.array([c[5] for c in cand_list])
 
         for _ in range(bisect_iters):
-            active = (hi - lo) > width_floor
+            # drop clear misses (see the docstring); a dropped candidate
+            # keeps best_g / best_scale above the cut, so it stays a miss.
+            # SAFETY = inf times rate 0 gives nan, which drops nothing.
+            with np.errstate(invalid="ignore"):
+                reach = SAFETY * rate * (np.maximum(hi, best_t) - np.minimum(lo, best_t))
+                clear = best_g - reach > ambiguous_cut * (best_scale + reach)
+            active = ((hi - lo) > width_floor) & ~clear
             if not np.any(active):
                 break
             mid = 0.5 * (lo + hi)
@@ -299,7 +343,11 @@ def _trivial_family(size: int) -> KernelFamily:
 
 
 def _validate_family(path: SymplecticPath, family: KernelFamily, ts: np.ndarray,
-                     tol_sv: float) -> None:
+                     ms: np.ndarray, tol_sv: float) -> None:
+    """Frames orthonormal, inside ker(M - I) and of constant symplectic rank.
+
+    ms holds the path's matrices at ts.
+    """
     bs = family(ts)
     if bs.shape[-2:] != (path.size, family.dim):
         raise ContainmentError(
@@ -307,7 +355,6 @@ def _validate_family(path: SymplecticPath, family: KernelFamily, ts: np.ndarray,
     gram = np.swapaxes(bs, -1, -2) @ bs - np.eye(family.dim)
     if gram.size and np.max(np.abs(gram)) > 1e-8:
         raise ContainmentError("family frames are not orthonormal")
-    ms = path(ts)
     resid = (ms - np.eye(path.size)) @ bs
     if resid.size:
         sv_top = np.linalg.svd(ms - np.eye(path.size), compute_uv=False)[..., 0]
@@ -360,13 +407,15 @@ def rs_index_stratified(path: SymplecticPath, family: KernelFamily,
     """
     count = path.sample_hint if samples is None else int(samples)
     ts = np.linspace(path.domain[0], path.domain[1], count + 1)
-    defect = linalg.symplectic_defect(path(ts), path.jmat)
+    grid = path(ts)
+    defect = linalg.symplectic_defect(grid, path.jmat)
     if defect > SYMPLECTIC_LOSS:
         raise SymplecticityLoss(f"path symplectic defect {defect:.3e} on the scan grid")
     if validate and family.dim:
-        _validate_family(path, family, ts, tol_sv)
+        _validate_family(path, family, ts, grid, tol_sv)
 
-    crossings = find_crossings(path, family.dim, tol_sv, count, bisect_iters)
+    crossings = find_crossings(path, family.dim, tol_sv, count, bisect_iters,
+                               grid=grid)
     reports: List[CrossingReport] = []
     start_sig = end_sig = 0
     interior: List[int] = []

@@ -417,8 +417,11 @@ def galerkin_matrix(coeffs: OperatorCoefficients, modes: int) -> np.ndarray:
     nb = prof.shape[0]
     j0 = dims.j_loop()
 
-    s_block = np.einsum("ag,gij,bg->aibj", prof, coeffs.s, prof) / n_theta
-    loop = s_block.reshape(nb * ln, nb * ln).copy()
+    # block (a, b) is the grid mean of prof_a prof_b S: weight the samples
+    # by each profile, then one batched product with the profiles
+    weighted = prof[:, :, None] * coeffs.s.reshape(n_theta, ln * ln)
+    s_block = (prof @ weighted).reshape(nb, nb, ln, ln) / n_theta
+    loop = s_block.transpose(0, 2, 1, 3).reshape(nb * ln, nb * ln)
     for k in range(1, modes + 1):
         rate = 2 * np.pi * k
         ic, isn = 2 * k - 1, 2 * k
@@ -429,8 +432,8 @@ def galerkin_matrix(coeffs: OperatorCoefficients, modes: int) -> np.ndarray:
     out = np.zeros((size, size))
     out[:nb * ln, :nb * ln] = loop
     if pm:
-        coup = np.einsum("bg,gai->bia", prof, coeffs.c).reshape(nb * ln, pm)
-        coup /= n_theta
+        coup = np.tensordot(prof, coeffs.c, axes=(1, 0)).transpose(0, 2, 1)
+        coup = coup.reshape(nb * ln, pm) / n_theta
         out[:nb * ln, nb * ln:] = coup
         out[nb * ln:, :nb * ln] = coup.T
         out[nb * ln:, nb * ln:] = coeffs.d.mean(axis=0)

@@ -511,7 +511,7 @@ def determinant_example_check(seed: int = 0, count: int = 20) -> SuiteCheck:
                         np.array([[1.0]]), validate=False)
         det = float(np.linalg.det(reduced_return_matrix(el)))
         worst = max(worst, abs(det - (-0.5 + 1.5 * a * b)))
-    return SuiteCheck("determinant-example", worst <= 1e-10,
+    return SuiteCheck("determinant-example", bool(worst <= 1e-10),
                       f"max |det - (-1/2 + 3ab/2)| = {worst:.3e} over {count} draws")
 
 

@@ -168,6 +168,14 @@ def test_verify_roundtrip_subcommand(capsys):
     assert len(body["checks"]) == 2
 
 
+def test_verify_axioms_json_parses(capsys):
+    rc = main(["verify", "axioms", "--count", "1", "--json"])
+    assert rc == 0
+    body = json.loads(capsys.readouterr().out)
+    assert body["suite"] == "axioms" and body["ok"] is True
+    assert all(type(c["passed"]) is bool for c in body["checks"])
+
+
 def test_verify_appendix_subcommand(capsys):
     rc = main(["verify", "appendix-c", "--count", "4"])
     out = capsys.readouterr().out

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from sympind import exp_path, constant_path, find_crossings, rs_index
+from sympind import (exp_path, constant_path, find_crossings, random_snm_path,
+                     rs_index, rsindex)
 from sympind.errors import IrregularCrossing, NonIsolated, UnresolvedCrossing
 from sympind.linalg import standard_j
+from sympind.suites import _AXIOM_DIMS, _sp_path
 
 J2 = standard_j(1)
 EYE2 = np.eye(2)
@@ -111,3 +113,46 @@ def test_far_apart_crossings_unaffected_by_rescans():
     ts = sorted(c.t for c in find_crossings(path))
     assert len(ts) == 2
     assert abs(ts[0] - t1) < 1e-9 and abs(ts[1] - t2) < 1e-9
+
+
+def test_clear_misses_need_no_refinement(counted):
+    # the phase stays in [0.2, 0.8], so every scan minimum sits far above
+    # the cut compared with how fast M moves: the scan is the only batch
+    phase = lambda t: 0.5 + 0.3 * np.sin(4.0 * np.pi * np.asarray(t, float))
+    dphase = lambda t: 1.2 * np.pi * np.cos(4.0 * np.pi * np.asarray(t, float))
+    path, sizes = counted(exp_path(EYE2, J2, phase=phase, dphase=dphase,
+                                   sample_hint=64))
+    assert find_crossings(path) == []
+    assert sizes == [65]
+
+
+def _crossing_list(path, floor):
+    try:
+        return [(c.t, c.width, c.at_endpoint) for c in find_crossings(path, floor)]
+    except (NonIsolated, UnresolvedCrossing) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_pruning_keeps_crossing_lists_bit_identical(monkeypatch, counted):
+    # SAFETY = inf never drops a candidate: the unpruned reference
+    rng = np.random.default_rng(20261018)
+    draws = []
+    for i in range(18):
+        dims = _AXIOM_DIMS[i % len(_AXIOM_DIMS)]
+        draws.append((random_snm_path(rng, dims).to_path(), dims.m))
+        draws.append((_sp_path(rng, 1 + i % 2, translate=bool(i % 3)), 0))
+
+    def run():
+        lists, batches = [], 0
+        for path, floor in draws:
+            path, sizes = counted(path)
+            lists.append(_crossing_list(path, floor))
+            batches += len(sizes)
+        return lists, batches
+
+    pruned, pruned_batches = run()
+    monkeypatch.setattr(rsindex, "SAFETY", np.inf)
+    reference, reference_batches = run()
+    assert pruned == reference
+    assert pruned_batches < reference_batches
+    assert any(isinstance(r, list) and r for r in reference)

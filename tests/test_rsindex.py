@@ -107,3 +107,14 @@ def test_family_outside_kernel_is_rejected():
     fam = KernelFamily.constant(basis, J2)
     with pytest.raises(ContainmentError):
         rs_index_stratified(p, fam, validate=True)
+
+
+def test_index_call_evaluates_its_scan_grid_once(counted):
+    # the defect check, the family validation and the crossing scan
+    # share one batch of the path on the scan grid
+    shear = exp_shear_path(np.diag([0.8, 0.5]), np.array([[0.6]]))
+    path, sizes = counted(shear.to_path())
+    res = rs_index_stratified(path, KernelFamily.dual_slot(shear.dims),
+                              validate=True)
+    assert res.value == snm_index(shear).value
+    assert sizes.count(path.sample_hint + 1) == 1

@@ -7,11 +7,14 @@ from sympind import (Dimensions, OperatorFamily, path_from_coefficients,
                      spectral_flow_galerkin, spectral_flow_matrix)
 from sympind.errors import (DegenerateAsymptote, InvalidInput, ShapeError,
                             TruncationUnstable)
-from sympind.specflow import (asymptotic_kernel, galerkin_kernel_dimension,
-                              galerkin_matrix, main_theorem_check,
-                              random_operator_family, split_tanh_family)
+from sympind.linalg import sym_part
+from sympind.specflow import (asymptotic_kernel, fourier_profiles,
+                              galerkin_kernel_dimension, galerkin_matrix,
+                              main_theorem_check, random_operator_family,
+                              split_tanh_family)
 
 ALPHA = 1.2
+GALERKIN_K = 32
 
 
 def _anchor_coeffs(d0, m=1, n_theta=256):
@@ -47,6 +50,41 @@ def test_galerkin_matrix_eigenvalues_uncoupled_closed_form():
         want.extend([ALPHA + 2 * np.pi * k] * 2)
         want.extend([ALPHA - 2 * np.pi * k] * 2)
     np.testing.assert_allclose(np.linalg.eigvalsh(g), np.sort(want), atol=1e-9)
+
+
+def _einsum_galerkin_matrix(coeffs, modes):
+    """Reference assembly: the loop form as plain three-operand einsums."""
+    dims, n_theta = coeffs.dims, coeffs.n_theta
+    ln, pm = dims.loop, dims.m
+    prof = fourier_profiles(modes, np.arange(n_theta) / n_theta)
+    nb = prof.shape[0]
+    loop = np.einsum("ag,gij,bg->aibj", prof, coeffs.s, prof).reshape(
+        nb * ln, nb * ln) / n_theta
+    for k in range(1, modes + 1):
+        ic, isn = 2 * k - 1, 2 * k
+        loop[ic * ln:(ic + 1) * ln, isn * ln:(isn + 1) * ln] += 2 * np.pi * k * dims.j_loop()
+        loop[isn * ln:(isn + 1) * ln, ic * ln:(ic + 1) * ln] -= 2 * np.pi * k * dims.j_loop()
+    out = np.zeros((nb * ln + pm, nb * ln + pm))
+    out[:nb * ln, :nb * ln] = loop
+    coup = np.einsum("bg,gai->bia", prof, coeffs.c).reshape(nb * ln, pm) / n_theta
+    out[:nb * ln, nb * ln:] = coup
+    out[nb * ln:, :nb * ln] = coup.T
+    out[nb * ln:, nb * ln:] = coeffs.d.mean(axis=0)
+    return sym_part(out)
+
+
+@pytest.mark.parametrize("seed,dims", [(1000, Dimensions(1, 1)),
+                                       (1002, Dimensions(1, 2)),
+                                       (1003, Dimensions(2, 2))])
+def test_galerkin_matrix_matches_einsum_reference(seed, dims):
+    fam = random_operator_family(dims, seed=seed)
+    for s in (fam.s_grid[0], -0.7, 0.0, 1.3, fam.s_grid[-1]):
+        coeffs = fam.coefficients_at(s)
+        got = galerkin_matrix(coeffs, GALERKIN_K)
+        want = _einsum_galerkin_matrix(coeffs, GALERKIN_K)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert (np.count_nonzero(np.linalg.eigvalsh(got) < 0)
+                == np.count_nonzero(np.linalg.eigvalsh(want) < 0))
 
 
 def test_galerkin_negative_count_tracks_modes():
