@@ -17,9 +17,16 @@ value is X^T J0, and the antisymmetric part of F, whose exact value is
 X^T J0 X / 2, are kept as consistency diagnostics.  K is tabulated at
 the theta nodes and midpoints (coefficients are sampled there through
 exact trigonometric interpolation, so classical fixed-step RK4 keeps its
-full order), and each RK4 stage is one batched product K W.  The layout
-of K and W is known to this module alone.  The reverse map recovers the
-coefficients from a sampled path by fourth-order finite differences:
+full order).  The ODE is linear, so one RK4 step is
+
+    W[:2n+m] += Delta_i W[m:],
+
+where the step increment Delta_i is a polynomial in the step's node,
+midpoint and node tables of K.  The increments of a block of steps are
+formed in batched products, and each step then costs one product.  The
+layout of K and W is known to this module alone.  The reverse map
+recovers the coefficients from a sampled path by fourth-order finite
+differences:
 
     S = sym(-J0 Psi' Psi^{-1}),  C = X'^T Psi^T J0,  D = E' + sym(X^T J0 X').
 """
@@ -39,6 +46,7 @@ from .snm import Dimensions, SnmElement, assemble_blocks
 
 BLOWUP_LIMIT = 1e8
 SYMPLECTIC_LOSS = 1e-6
+_STEP_BLOCK = 64
 
 
 def periodic_midpoints(values: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -180,26 +188,63 @@ def generator(dims: Dimensions, j0s, j0ct, c, d) -> np.ndarray:
     return k
 
 
+def _j0_times(dims: Dimensions, mat: np.ndarray, out: np.ndarray) -> None:
+    """out = J0 mat, as signed copies of row halves: J0 = [[0, -I], [I, 0]]."""
+    n = dims.n
+    np.negative(mat[..., n:, :], out=out[..., :n, :])
+    out[..., n:, :] = mat[..., :n, :]
+
+
 def _generator_tables(dims: Dimensions, s, c, d):
     """K at the theta nodes (wrap node appended) and at the midpoints.
 
-    s, c, d are periodic samples batched as (B, N, ...).  Each block is
-    written in place, so no second full-size copy of the tables is live.
+    s, c, d are periodic samples batched as (B, N, ...).  Each block of
+    the node table is written in place; the midpoint table is the
+    spectral midpoint interpolant of the node table, which is linear and
+    acts entrywise, so it equals K built from interpolated coefficients.
     """
-    j0 = dims.j_loop()
     batch, n_theta = s.shape[:2]
     size = dims.loop + dims.m
     nodes = np.empty((batch, n_theta + 1, size, size))
-    mids = np.empty((batch, n_theta, size, size))
-    for tab, at in ((nodes[:, :-1], lambda arr: arr),
-                    (mids, lambda arr: periodic_midpoints(arr, axis=1))):
-        c_k, d_k, j0s_k, j0ct_k = _quarters(dims, tab)
-        c_k[...] = at(c)
-        d_k[...] = at(d)
-        np.matmul(j0, at(s), out=j0s_k)
-        np.matmul(j0, np.swapaxes(c_k, -1, -2), out=j0ct_k)
+    c_k, d_k, j0s_k, j0ct_k = _quarters(dims, nodes[:, :-1])
+    c_k[...] = c
+    d_k[...] = d
+    _j0_times(dims, s, j0s_k)
+    _j0_times(dims, np.swapaxes(c, -1, -2), j0ct_k)
     nodes[:, -1] = nodes[:, 0]
-    return nodes, mids
+    return nodes, periodic_midpoints(nodes[:, :-1], axis=1)
+
+
+def _step_increments(dims: Dimensions, k_lo: np.ndarray, k_mid: np.ndarray,
+                     k_hi: np.ndarray, h: float) -> np.ndarray:
+    """Delta with W[:2n+m] += Delta W[m:] equal to one classical RK4 step.
+
+    k_lo, k_mid and k_hi are K at the left node, the midpoint and the
+    right node of each step, batched alike.  Let H(K) be K's bottom 2n
+    rows over m zero rows (only Psi and A move inside W[m:]).  RK4 stage
+    j feeds K the rows X_j W[m:], with
+
+        X_1 = I + (h/2) H(k_lo),  X_2 = I + (h/2) H(k_mid) X_1,
+        X_3 = I + h H(k_mid) X_2,
+        Delta = (h/6) (k_lo + 2 k_mid (X_1 + X_2) + k_hi X_3).
+
+    X_j - I is c_j times Y_j over m zero rows, with c = (h/2, h/2, h),
+    Y_1 = G(k_lo), Y_2 = G(k_mid) + (h/2) G(k_mid)[:, :2n] Y_1 and Y_3 the
+    same with Y_2, where G(K) = K[m:].  So K X_j = K + c_j K[:, :2n] Y_j,
+    and the products run on the 2n moving rows only:
+
+        Delta = (h/6) (k_lo + 4 k_mid + k_hi
+                       + h k_mid[:, :2n] (Y_1 + Y_2) + h k_hi[:, :2n] Y_3).
+    """
+    pm, ln = dims.m, dims.loop
+    rows_mid = k_mid[..., pm:, :]
+    y1 = k_lo[..., pm:, :]
+    y2 = rows_mid + (0.5 * h) * (rows_mid[..., :ln] @ y1)
+    y3 = rows_mid + (0.5 * h) * (rows_mid[..., :ln] @ y2)
+    delta = k_lo + 4 * k_mid + k_hi
+    delta += h * (k_mid[..., :ln] @ (y1 + y2) + k_hi[..., :ln] @ y3)
+    delta *= h / 6.0
+    return delta
 
 
 def _propagate(dims: Dimensions, nodes: np.ndarray, mids: np.ndarray,
@@ -209,30 +254,31 @@ def _propagate(dims: Dimensions, nodes: np.ndarray, mids: np.ndarray,
     nodes (B, N+1, ...) and mids (B, N, ...) are tables of K.  Returns
     the node trajectory of W, (B, N+1, 2n+2m, 2n+m), or just W(1) when
     keep_nodes is false.
+
+    The steps run in blocks of _STEP_BLOCK: the block's increments are
+    formed at once (_step_increments), then applied one product per
+    step, and |Psi| is checked against BLOWUP_LIMIT after every block,
+    the last partial one included.
     """
     batch, nsteps = mids.shape[:2]
     pm, size = dims.m, dims.loop + dims.m
     h = 1.0 / nsteps
     w = np.zeros((batch, size + pm, size))
     w[:, pm:] = np.eye(size)
-    stage = w.copy()
-    psi = _quarters(dims, w)[2]
+    moving, rows, psi = w[:, :size], w[:, pm:], _quarters(dims, w)[2]
     if keep_nodes:
         ws = np.empty((batch, nsteps + 1) + w.shape[1:])
         ws[:, 0] = w
-    for i in range(nsteps):
-        k1 = nodes[:, i] @ w[:, pm:]
-        stage[:, :size] = w[:, :size] + 0.5 * h * k1
-        k2 = mids[:, i] @ stage[:, pm:]
-        stage[:, :size] = w[:, :size] + 0.5 * h * k2
-        k3 = mids[:, i] @ stage[:, pm:]
-        stage[:, :size] = w[:, :size] + h * k3
-        k4 = nodes[:, i + 1] @ stage[:, pm:]
-        w[:, :size] += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if keep_nodes:
-            ws[:, i + 1] = w
-        if i % 64 == 63 and float(np.max(np.abs(psi))) > BLOWUP_LIMIT:
-            raise IntegratorBlowup(f"|Psi| exceeded {BLOWUP_LIMIT:.0e} at step {i + 1}")
+    for start in range(0, nsteps, _STEP_BLOCK):
+        stop = min(start + _STEP_BLOCK, nsteps)
+        deltas = _step_increments(dims, nodes[:, start:stop], mids[:, start:stop],
+                                  nodes[:, start + 1:stop + 1], h)
+        for i, delta in enumerate(np.swapaxes(deltas, 0, 1), start + 1):
+            moving += delta @ rows
+            if keep_nodes:
+                ws[:, i] = w
+        if float(np.max(np.abs(psi))) > BLOWUP_LIMIT:
+            raise IntegratorBlowup(f"|Psi| exceeded {BLOWUP_LIMIT:.0e} at step {stop}")
     return ws if keep_nodes else w
 
 

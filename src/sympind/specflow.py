@@ -49,6 +49,7 @@ GALERKIN_GAP = 8
 GALERKIN_EIG_TOL = 1e-8
 FLOW_TOL_SV = 1e-7
 FD_S_FACTOR = 1e-6
+_S_CHUNK = 64
 
 
 class OperatorFamily:
@@ -134,9 +135,17 @@ class OperatorFamily:
                 self._spline_d(s_batch))
 
     def return_data_at(self, s_batch: np.ndarray):
-        """(Psi, X, E) at theta = 1 for a batch of s values."""
+        """(Psi, X, E) at theta = 1 for a batch of s values.
+
+        The batch is tabulated and propagated _S_CHUNK s values at a
+        time, so the K tables of a long scan grid are never all live at
+        once.  An s value's return data does not depend on the chunk it
+        falls in.
+        """
         s_arr = np.atleast_1d(np.asarray(s_batch, dtype=float))
-        return return_data(self.dims, *self.tables_at(s_arr))
+        parts = [return_data(self.dims, *self.tables_at(s_arr[i:i + _S_CHUNK]))
+                 for i in range(0, len(s_arr), _S_CHUNK)]
+        return tuple(np.concatenate(blocks) for blocks in zip(*parts))
 
     def return_path(self) -> SymplecticPath:
         """The path s -> M(s, 1) as a vectorized symplectic path."""

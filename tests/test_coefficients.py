@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from sympind import (Dimensions, OperatorCoefficients, coefficients_from_path,
                      loop_identity_residuals, path_from_coefficients)
+from sympind import coefficients
 from sympind.errors import IntegratorBlowup, InvalidInput, ShapeError
 from sympind.specflow import random_coefficients, random_operator_family
 
@@ -110,6 +111,70 @@ def test_hyperbolic_growth_raises_blowup():
                               [], [], n_theta=512)
     with pytest.raises(IntegratorBlowup, match="step 256"):
         path_from_coefficients(coeffs)
+
+
+@pytest.mark.parametrize("rate,n_theta,step", [(25.0, 100, 100), (40.0, 32, 32)])
+def test_blowup_is_checked_after_the_last_partial_block(rate, n_theta, step):
+    # |Psi| = e^{rate theta} passes 1e8 after the last multiple of 64
+    # steps, so only the check after the partial last block can see it
+    coeffs = _constant_coeffs(Dimensions(1, 0), [[0.0, rate], [rate, 0.0]],
+                              [], [], n_theta=n_theta)
+    with pytest.raises(IntegratorBlowup, match=f"step {step}"):
+        path_from_coefficients(coeffs)
+
+
+def _stage_by_stage_propagate(dims, nodes, mids, keep_nodes=True):
+    """Reference RK4: four stages per step, each one product K W."""
+    batch, nsteps = mids.shape[:2]
+    pm, size = dims.m, dims.loop + dims.m
+    h = 1.0 / nsteps
+    w = np.zeros((batch, size + pm, size))
+    w[:, pm:] = np.eye(size)
+    stage = w.copy()
+    ws = np.empty((batch, nsteps + 1) + w.shape[1:])
+    ws[:, 0] = w
+    for i in range(nsteps):
+        k1 = nodes[:, i] @ w[:, pm:]
+        stage[:, :size] = w[:, :size] + 0.5 * h * k1
+        k2 = mids[:, i] @ stage[:, pm:]
+        stage[:, :size] = w[:, :size] + 0.5 * h * k2
+        k3 = mids[:, i] @ stage[:, pm:]
+        stage[:, :size] = w[:, :size] + h * k3
+        k4 = nodes[:, i + 1] @ stage[:, pm:]
+        w[:, :size] += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        ws[:, i + 1] = w
+    return ws if keep_nodes else w
+
+
+def _assert_relative_close(got, want, rel=1e-13):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    if want.size:
+        assert float(np.max(np.abs(got - want))) <= rel * float(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n_theta", [512, 100])
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2), (2, 2), (2, 0)])
+def test_step_increments_match_stage_by_stage_rk4(monkeypatch, n, m, n_theta):
+    # N = 100 ends on a partial block of 36 steps
+    dims = Dimensions(n, m)
+    coeffs = random_coefficients(dims, np.random.default_rng(40 + 3 * n + m),
+                                 n_theta=n_theta)
+    got = path_from_coefficients(coeffs)
+    monkeypatch.setattr(coefficients, "_propagate", _stage_by_stage_propagate)
+    want = path_from_coefficients(coeffs)
+    for name in ("theta", "psi", "x", "e", "f_raw", "b_raw", "dpsi", "dx", "de"):
+        _assert_relative_close(getattr(got, name), getattr(want, name))
+
+
+def test_batched_return_data_matches_stage_by_stage_rk4(monkeypatch):
+    fam = random_operator_family(Dimensions(2, 2), seed=1003)
+    s_vals = np.array([fam.s_min, -2.5, 0.1, 1.7, fam.s_max])
+    got = fam.return_data_at(s_vals)
+    monkeypatch.setattr(coefficients, "_propagate", _stage_by_stage_propagate)
+    want = fam.return_data_at(s_vals)
+    for g, w in zip(got, want):
+        _assert_relative_close(g, w)
 
 
 def test_resampling_is_exact_for_band_limited_tables():

@@ -1,5 +1,7 @@
 """Spectral flow by endpoint matrices and by Galerkin truncation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,28 @@ def test_generator_skips_asymptotes_in_the_ambiguous_band():
     left = path_from_coefficients(fam.left_asymptote())
     right = path_from_coefficients(fam.right_asymptote())
     assert main_theorem_check(left, right, fam).ok
+
+
+def test_chunked_return_data_matches_one_at_a_time():
+    # 130 values span three s-chunks; the frozen ends are included
+    fam = random_operator_family(Dimensions(1, 1), seed=21)
+    s_vals = np.linspace(fam.s_min - 1.0, fam.s_max + 1.0, 130)
+    psi, x, e = fam.return_data_at(s_vals)
+    for i, s in enumerate(s_vals):
+        one = fam.return_data_at(np.array([s]))
+        assert all(np.array_equal(a[i], b[0]) for a, b in zip((psi, x, e), one))
+
+
+def test_scan_grid_return_data_stays_in_bounded_memory():
+    # a 513-value grid of the (2, 2) family: every K table at once is 265 MiB
+    fam = random_operator_family(Dimensions(2, 2), seed=1003)
+    tracemalloc.start()
+    try:
+        fam.return_path()(np.linspace(fam.s_min, fam.s_max, 513))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_family_input_validation():
