@@ -193,8 +193,7 @@ def _index_output(result: IndexResult, command: str) -> Tuple[List[str], dict]:
 
 def _cmd_index(args: argparse.Namespace, cfg: RunConfig) -> Tuple[List[str], dict, int]:
     path, family = _load_path_file(args.path_file, cfg)
-    kwargs = dict(tol_sv=cfg.tol_sv, tol_eig=cfg.tol_eig,
-                  bisect_iters=cfg.bisect_iters)
+    kwargs = dict(tol_sv=cfg.tol_sv, tol_eig=cfg.tol_eig)
     if family is not None:
         result = rs_index_stratified(path, family, **kwargs)
     elif args.stratified:
@@ -236,8 +235,7 @@ def _cmd_paramindex(args: argparse.Namespace, cfg: RunConfig) -> Tuple[List[str]
         # isotropic plane spanned by that direction and the dual slot.
         path = pd.to_snm_path(sample_hint=cfg.sample_hint).to_path()
         result = rs_index_stratified(path, rabinowitz_block_family(),
-                                     tol_sv=cfg.tol_sv, tol_eig=cfg.tol_eig,
-                                     bisect_iters=cfg.bisect_iters)
+                                     tol_sv=cfg.tol_sv, tol_eig=cfg.tol_eig)
     else:
         result = parametrized_rs_index(pd, tol_sv=cfg.tol_sv,
                                        sample_hint=cfg.sample_hint)
@@ -248,6 +246,12 @@ def _cmd_paramindex(args: argparse.Namespace, cfg: RunConfig) -> Tuple[List[str]
 
 
 def _cmd_spectralflow(args: argparse.Namespace, cfg: RunConfig) -> Tuple[List[str], dict, int]:
+    default = RunConfig()
+    if (cfg.tol_sv, cfg.tol_eig) != (default.tol_sv, default.tol_eig):
+        # both flows run at their own tolerances, which no knob reaches
+        raise InvalidInput(
+            "spectralflow takes no tolerances: leave --tol-sv and the "
+            "config's tol_sv and tol_eig at their defaults")
     fam = _load_family_file(args.family_file, cfg)
     flow_m = spectral_flow_matrix(fam)
     flow_g = spectral_flow_galerkin(fam, modes=cfg.fourier_modes)

@@ -16,26 +16,22 @@ from typing import Any, Mapping
 
 from .errors import InvalidInput
 from .flows import TOL_CRIT
-from .linalg import TOL_EIG, TOL_SV, TOL_SYM, TOL_SYMP
-from .rsindex import BISECT_ITERS
+from .linalg import TOL_EIG, TOL_SV
 from .specflow import GALERKIN_MODES
 
 SAMPLE_HINT = 512
 OUTPUT_FORMATS = ("text", "json")
 
-_TOL_FIELDS = ("tol_sv", "tol_sym", "tol_symp", "tol_eig", "tol_crit")
-_COUNT_FIELDS = ("sample_hint", "bisect_iters", "fourier_modes", "seed")
+_TOL_FIELDS = ("tol_sv", "tol_eig", "tol_crit")
+_COUNT_FIELDS = ("sample_hint", "fourier_modes", "seed")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     tol_sv: float = TOL_SV
-    tol_sym: float = TOL_SYM
-    tol_symp: float = TOL_SYMP
     tol_eig: float = TOL_EIG
     tol_crit: float = TOL_CRIT
     sample_hint: int = SAMPLE_HINT
-    bisect_iters: int = BISECT_ITERS
     fourier_modes: int = GALERKIN_MODES
     seed: int = 0
     output_format: str = "text"
@@ -58,8 +54,6 @@ class RunConfig:
             object.__setattr__(self, name, value)
         if self.sample_hint < 16:
             raise InvalidInput(f"sample_hint must be >= 16, got {self.sample_hint}")
-        if self.bisect_iters < 1:
-            raise InvalidInput("bisect_iters must be positive")
         if self.fourier_modes < 1:
             raise InvalidInput("fourier_modes must be positive")
         if self.seed < 0:

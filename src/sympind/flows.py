@@ -32,7 +32,7 @@ from .coefficients import PathData, generator, integrate_path, trig_eval
 from .errors import (DegenerateEndpoint, DimensionMismatch, InvalidInput,
                      ShapeError)
 from .paths import KernelFamily
-from .rsindex import (IndexResult, endpoint_sigma, is_nondegenerate,
+from .rsindex import (IndexResult, endpoint_phase, is_nondegenerate,
                       rs_index_stratified)
 from .snm import Dimensions
 
@@ -243,8 +243,8 @@ def parametrized_rs_index(pd: PathData, tol_sv: Optional[float] = None,
     el = pd.endpoint()
     if not is_nondegenerate(el, **kwargs):
         raise DegenerateEndpoint(
-            "return map is degenerate at theta = 1 (relative monitored "
-            f"singular value {endpoint_sigma(el):.3e})")
+            "return map is degenerate at theta = 1 (smallest excess "
+            f"eigenphase {endpoint_phase(el):.3e})")
     snm = pd.to_snm_path(sample_hint=sample_hint)
     path = snm.to_path()
     family = KernelFamily.dual_slot(pd.dims)

@@ -91,11 +91,6 @@ def signature(s: np.ndarray, tol_eig: float = TOL_EIG) -> int:
     return inertia(s, tol_eig).signature
 
 
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Descending singular values; batched over leading axes."""
-    return np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
-
-
 def kernel_basis(m: np.ndarray, tol_sv: float = TOL_SV) -> np.ndarray:
     """Orthonormal basis of the numerical kernel, as columns.
 

@@ -6,20 +6,24 @@ degeneracy (a family E(t) inside ker(M(t) - I), e.g. the dual slot of a
 subgroup path) the same sum runs over the quotient forms ker/E instead;
 crossings are then the instants where the kernel exceeds the family.
 
-Crossing instants are located by scanning the monitored singular value
-of M(t) - I (the (d+1)-th smallest, d = family dimension) on a grid and
-then bisecting on its slope sign, which halves the bracket every step.
-All scans are batched, so grids of hundreds of points cost a single SVD
-call.  An index call evaluates its scan grid once: the symplectic-defect
-check, the family validation and the crossing scan share that batch.
+Crossings are located by the eigenphases of the Souriau map
+W(t) = U_L U_L^T conj(U_D U_D^T), where U_L and U_D put orthonormal frames
+of the graph of M(t) and of the diagonal in unitary form under the
+complex structure diag(J, -J).  W is unitary, independent of the frames,
+and its eigenvalue 1 has multiplicity dim ker(M(t) - I).  Its phases come
+from one real symmetric eigensolve of a Cayley transform (_phases), which
+keeps small phases to full relative accuracy.  The d phases a family of
+dimension d pins at zero are dropped; the rest are the excess phases.
 
-Bisection skips clear misses.  By Weyl's inequality no singular value of
-M - I moves by more than |M(t) - M(t')|_F between two instants, so a
-candidate whose best value stays above the ambiguous cut even after
-that much drift across its bracket can never be accepted or flagged as
-unresolved, and is dropped unrefined.  The drift is bounded with the
-rate read off the scan grid, so the rule assumes, as the scan does, that
-the grid resolves M' to within the factor SAFETY.
+Each scan interval gets a window delta: no excess phase at either end
+lies within the reach 2 |W(t_{i+1}) - W(t_i)|_F of delta.  The change in
+the number of phases in (0, delta), a phase at zero counting one half, is
+-1 times the interval's index (Phillips' partition definition of spectral
+flow).  Intervals with a nonzero count, with no window, or with a phase
+within reach of zero (a zero-net pair inside one step) are split, and
+each isolated sign change of the smallest excess phase goes to Brent's
+method.  The singular values of M - I serve only at the two domain ends
+and for the kernel at a located crossing.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import linalg
 from .errors import (ContainmentError, InvalidInput, IrregularCrossing,
@@ -39,19 +44,26 @@ from .linalg import TOL_EIG, TOL_SV, inertia, kernel_basis, sym_part
 from .paths import KernelFamily, SymplecticPath
 from .snm import SnmElement
 
-BISECT_ITERS = 60
-# margin on the grid's estimate of |M'| when pruning clear misses
-SAFETY = 2.0
 SYMPLECTIC_LOSS = 1e-6
-# refined minima above sqrt(tol) are clean misses; in between is unresolved
+# excess phases between tol_sv and tol_sv ** AMBIGUITY_EXPONENT are
+# neither zero nor a clean miss
 AMBIGUITY_EXPONENT = 0.5
+# pieces a flagged scan interval is split into, and how often
+SPLIT = 4
+MAX_SPLITS = 6
+# grid points per bracket when a count disagrees with its signatures
+REFINE_SAMPLES = 64
 
 
 @dataclass
 class CrossingLocation:
+    """A crossing, its bracket, and twice the bracket's index by the phase
+    count, which its weighted quotient-form signature must match."""
     t: float
-    width: float
+    lo: float
+    hi: float
     at_endpoint: Optional[str] = None  # 'start' | 'end' | None
+    count: int = 0
 
 
 @dataclass
@@ -69,6 +81,11 @@ class CrossingReport:
     def weight(self) -> float:
         return 0.5 if self.at_endpoint else 1.0
 
+    @property
+    def twice(self) -> int:
+        """Twice the index contribution: the signature, times two inside."""
+        return self.signature if self.at_endpoint else 2 * self.signature
+
 
 @dataclass
 class IndexResult:
@@ -80,112 +97,228 @@ class IndexResult:
     samples: int
 
     def recompute_twice(self) -> int:
-        twice = 0
-        for c in self.crossings:
-            twice += c.signature if c.at_endpoint else 2 * c.signature
-        return twice
+        return sum(c.twice for c in self.crossings)
 
 
-def _sigma_of(ms: np.ndarray, floor: int):
-    """Monitored singular value of M-I and the largest one, batched."""
-    size = ms.shape[-1]
-    if floor >= size:
-        raise InvalidInput("stratum floor exceeds the matrix size")
-    sv = np.linalg.svd(ms - np.eye(size), compute_uv=False)  # descending
-    return sv[..., size - 1 - floor], sv[..., 0]
-
-
-def _monitored_sigma(path: SymplecticPath, ts: np.ndarray, floor: int):
-    """The same, evaluating the path at ts."""
-    return _sigma_of(path(np.atleast_1d(np.asarray(ts, dtype=float))), floor)
-
-
-def endpoint_sigma(el: SnmElement) -> float:
-    """Relative monitored singular value of M - I for a subgroup element.
-
-    The (m+1)-th smallest singular value over max(sigma_max, 1), which is
-    what find_crossings compares with its cuts at stratum floor m.
-    """
-    sv = np.linalg.svd(el.to_matrix() - np.eye(el.dims.total), compute_uv=False)
-    return float(sv[-1 - el.dims.m] / max(float(sv[0]), 1.0))
+def endpoint_phase(el: SnmElement) -> float:
+    """Smallest excess eigenphase of the Souriau map of a subgroup element
+    (excess over the m dual directions): what find_crossings compares with
+    its cuts."""
+    return abs(float(_phases(el.to_matrix()[None], el.dims.j_ext(), el.dims.m)[0, 0]))
 
 
 def is_nondegenerate(el: SnmElement, tol_sv: float = TOL_SV) -> bool:
     """No kernel beyond the dual slot, clear of the ambiguous band.
 
-    The relative monitored singular value must exceed
-    tol_sv ** AMBIGUITY_EXPONENT: a value between tol_sv and that cut has
-    no kernel at tol_sv, yet find_crossings refuses it as unresolved.
+    The smallest excess eigenphase must exceed tol_sv ** AMBIGUITY_EXPONENT,
+    the cut above which find_crossings takes a phase for a clean miss.
     """
-    return endpoint_sigma(el) > tol_sv ** AMBIGUITY_EXPONENT
+    return endpoint_phase(el) > tol_sv ** AMBIGUITY_EXPONENT
 
 
-def _edge_rebound_candidates(path: SymplecticPath, floor: int, edge: float,
-                             inner: float, tol_sv: float):
-    """Candidate brackets for crossings hiding next to an endpoint crossing.
+def _phases(ms: np.ndarray, jmat: np.ndarray, floor: int) -> np.ndarray:
+    """Signed excess eigenphases of the Souriau map, sorted by modulus; batched.
 
-    Next to a crossing the monitored value vanishes to first order, so a
-    second zero a short way off (a branch bending back through zero, or an
-    unrelated crossing sharing the bracket) leaves no sampled local minimum
-    for the coarse scan to see.  Dividing out the structural factor
-    |t - edge| exposes such zeros as local minima of the ratio on a
-    logarithmic grid.
-
-    The candidate cut is structural, not absolute: near the edge the ratio
-    plateaus at the edge crossing's slope, so a dip below half the plateau
-    marks a potential zero.  Acceptance stays with the bisection in the
-    caller, so a lenient cut here only costs a few cheap refinements.  The
-    far-end level must stay out of the cut: where it exceeds the plateau it
-    would let plateau noise through, and such candidates bisect into the
-    edge crossing's own vanishing and read as spurious near-duplicates.
+    They are 2 arctan of the eigenvalues of the symmetric Cayley transform
+    J (M + I)^{-1} (M - I), which keeps small phases to full relative
+    accuracy.
     """
-    span = abs(inner - edge)
-    if span <= 0.0:
-        return []
-    direction = 1.0 if inner > edge else -1.0
-    offs = np.geomspace(span * 1e-9, span, 160)
-    ts = edge + direction * offs
-    g, top = _monitored_sigma(path, ts, floor)
-    ratio = g / offs
-    cut = 0.5 * float(np.median(ratio[:16]))
-    out = []
-    for i in range(1, len(offs) - 1):
-        if ratio[i] <= ratio[i - 1] and ratio[i] <= ratio[i + 1] and ratio[i] <= cut:
-            lo_t, hi_t = sorted((float(ts[i - 1]), float(ts[i + 1])))
-            out.append((lo_t, hi_t, float(ts[i]), float(g[i]),
-                        max(float(top[i]), 1.0), math.inf))
-    return out
+    eye = np.eye(ms.shape[-1])
+    try:
+        c = jmat @ np.linalg.solve(ms + eye, ms - eye)
+    except np.linalg.LinAlgError:
+        # an exact eigenvalue -1 (phase pi): turn M by a symplectic rotation
+        # of 1e-12, which moves every phase by about that much
+        ms = ms @ (eye + 1e-12 * jmat)
+        c = jmat @ np.linalg.solve(ms + eye, ms - eye)
+    phases = 2.0 * np.arctan(np.linalg.eigvalsh(c))  # reads one triangle
+    order = np.argsort(np.abs(phases), axis=-1, kind="stable")
+    return np.take_along_axis(phases, order, axis=-1)[..., floor:]
+
+
+def _reach(ms: np.ndarray) -> np.ndarray:
+    """2 |W(t_{i+1}) - W(t_i)|_F between samples along axis -3.
+
+    Graphs are Lagrangian, so |W - W'|_F = sqrt(2) |Pi - Pi'|_F for the
+    orthogonal projectors Pi onto them, whose blocks are K, M K and M K M^T
+    with K = (I + M^T M)^{-1}.
+    """
+    def step(block):
+        return np.sum(np.diff(block, axis=-3) ** 2, axis=(-2, -1))
+
+    k = np.linalg.inv(np.eye(ms.shape[-1]) + np.swapaxes(ms, -1, -2) @ ms)
+    square = step(k)
+    k = ms @ k
+    square += 2.0 * step(k) + step(k @ np.swapaxes(ms, -1, -2))
+    return 2.0 * np.sqrt(2.0 * square)
+
+
+class _PhaseScan:
+    """Excess phases of W on a growing sample set, with interval counts.
+
+    At the domain ends the excess kernel dimension, the number of phases
+    that count as zero, comes from the singular values of M - I.
+    """
+
+    def __init__(self, path: SymplecticPath, floor: int, tol_sv: float,
+                 ts: np.ndarray, ms: np.ndarray):
+        self.path, self.floor, self.zero_cut = path, floor, tol_sv
+        self.band = tol_sv ** AMBIGUITY_EXPONENT
+        sv = np.linalg.svd(ms[[0, -1]] - np.eye(path.size), compute_uv=False)
+        rel = sv / np.maximum(sv[:, :1], 1.0)
+        excess = np.maximum(np.sum(rel <= tol_sv, axis=-1) - floor, 0)
+        self.ends = {t: int(k) for t, k, at in zip(path.domain, excess, ts[[0, -1]])
+                     if at == t}
+        self.ts, self.ms, self.reach = ts, ms, _reach(ms)
+        self.ph, self.zero = self._phase_data(ts, ms)
+
+    def _phase_data(self, ts: np.ndarray, ms: np.ndarray):
+        ph = _phases(ms, self.path.jmat, self.floor)
+        zero = np.abs(ph) <= self.zero_cut
+        for t, k in self.ends.items():
+            zero[ts == t] = np.arange(ph.shape[-1]) < k
+        return ph, zero
+
+    def split(self, intervals: np.ndarray) -> None:
+        """Evaluate SPLIT - 1 interior points of each listed interval."""
+        if not len(intervals):
+            return
+        lo, hi = self.ts[intervals, None], self.ts[intervals + 1, None]
+        ts = (lo + (hi - lo) * np.arange(1, SPLIT) / SPLIT).ravel()
+        ms = self.path(ts)
+        runs = np.concatenate([self.ms[intervals, None],
+                               ms.reshape((len(intervals), SPLIT - 1) + ms.shape[1:]),
+                               self.ms[intervals + 1, None]], axis=1)
+        pieces = np.ones(len(self.reach), int)
+        pieces[intervals] = SPLIT
+        first = np.cumsum(pieces) - pieces  # merged index of each old sample
+        self.reach = np.repeat(self.reach, pieces)
+        self.reach[first[intervals, None] + np.arange(SPLIT)] = _reach(runs)
+        at = (first[intervals, None] + np.arange(1, SPLIT)).ravel()
+        old = np.append(first, first[-1] + pieces[-1])
+        merged = []
+        for a, b in zip((self.ts, self.ms, self.ph, self.zero), (ts, ms) + self._phase_data(ts, ms)):
+            out = np.empty((len(a) + len(b),) + a.shape[1:], a.dtype)
+            out[old], out[at] = a, b
+            merged.append(out)
+        self.ts, self.ms, self.ph, self.zero = merged
+
+    def intervals(self):
+        """Per interval: twice its index by the phase count, whether a
+        window exists, and whether a phase is within reach of zero."""
+        reach, mag = self.reach, np.abs(self.ph)
+        vals = np.sort(np.concatenate([mag[:-1], mag[1:]], axis=-1), axis=-1)
+        lo = np.pad(vals, ((0, 0), (1, 0)))
+        hi = np.pad(vals, ((0, 0), (0, 1)), constant_values=math.pi)
+        best = np.argmax(hi - lo, axis=-1)[:, None]
+        lo, hi = np.take_along_axis(lo, best, -1), np.take_along_axis(hi, best, -1)
+        delta = 0.5 * (lo + hi)
+
+        def twice_n(ph, zero):
+            return zero.sum(-1) + 2 * np.sum((ph > 0.0) & (ph < delta) & ~zero, -1)
+
+        count = twice_n(self.ph[:-1], self.zero[:-1]) - twice_n(self.ph[1:], self.zero[1:])
+        near = mag[:-1, 0] + mag[1:, 0] <= reach
+        return count, (hi - lo)[:, 0] > 2.0 * reach, near
+
+
+def _groups(count: np.ndarray, zero: np.ndarray):
+    """Runs (first, last sample) of intervals with a nonzero count or
+    touching a zero sample, joined across zero samples."""
+    active = (count != 0) | zero[:-1] | zero[1:]
+    link = zero[1:-1]
+    first = np.flatnonzero(active & ~np.concatenate([[False], link]))
+    last = np.flatnonzero(active & ~np.concatenate([link, [False]]))
+    return list(zip(first, last + 1)), active
+
+
+def _locate(scan: _PhaseScan) -> List[CrossingLocation]:
+    """Isolate and polish every crossing on the scan's samples."""
+    a, b = scan.path.domain
+    width_floor = 64 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
+    count, window, near = scan.intervals()
+    scan.split(np.flatnonzero((count != 0) | ~window | near))
+    roots = {}
+    for _ in range(MAX_SPLITS + 1):
+        count, window, _ = scan.intervals()
+        ts, f, zero = scan.ts, scan.ph[:, 0], scan.zero[:, 0]
+        groups, active = _groups(count, zero)
+        found, pending = [], list(np.flatnonzero(~window))
+        for u, v in groups:
+            total, lo, hi = int(count[u:v].sum()), float(ts[u]), float(ts[v])
+            if lo == a and zero[u]:
+                found.append(CrossingLocation(a, lo, hi, "start", total))
+            elif hi == b and zero[v]:
+                found.append(CrossingLocation(b, lo, hi, "end", total))
+            elif total and f[u] * f[v] < 0.0:
+                if (lo, hi) not in roots:
+                    known = {lo: f[u], hi: f[v]}
+
+                    def phase(t):  # the smallest excess phase, signed
+                        if t not in known:
+                            ms = scan.path(np.array([t]))
+                            known[t] = _phases(ms, scan.path.jmat, scan.floor)[0, 0]
+                        return known[t]
+
+                    # superlinear at a regular crossing, slow at an odd-order
+                    # tangency; the phase at the result is the judge
+                    t_star = brentq(phase, lo, hi, xtol=width_floor, maxiter=200, disp=False)
+                    roots[lo, hi] = t_star if abs(phase(t_star)) <= scan.zero_cut else None
+                if roots[lo, hi] is None:
+                    pending.extend(range(u, v))
+                else:
+                    found.append(CrossingLocation(roots[lo, hi], lo, hi, None, total))
+            elif not total and f[u] * f[v] > 0.0 and v > u + 1:
+                # touches zero without changing the count: left to the
+                # crossing form (IrregularCrossing) or the signature check
+                k = u + 1 + int(np.argmin(np.abs(f[u + 1:v])))
+                found.append(CrossingLocation(float(ts[k]), lo, hi, None, total))
+            else:
+                pending.extend(range(u, v))
+        if not pending:
+            break
+        scan.split(np.unique(pending))
+    else:
+        raise UnresolvedCrossing(
+            f"eigenphase count not isolated after {MAX_SPLITS} splits near "
+            f"t={scan.ts[pending[0]]:.6g}; insufficient resolution")
+
+    # a phase that enters the ambiguous band without changing the count is
+    # a tangential near-crossing
+    inside = np.abs(f) < scan.band
+    edges = np.flatnonzero(np.diff(np.pad(inside.astype(int), 1)))
+    for p, q in zip(edges[::2], edges[1::2]):
+        if not active[max(p - 1, 0):q].any():
+            k = p + int(np.argmin(np.abs(f[p:q])))
+            raise UnresolvedCrossing(
+                f"excess eigenphase bottoms out at {abs(f[k]):.3e} near t={ts[k]:.6g} "
+                "without changing the count; tangential crossing or insufficient "
+                "resolution")
+    return found
 
 
 def find_crossings(path: SymplecticPath, stratum_floor: int = 0,
-                   tol_sv: float = TOL_SV, samples: Optional[int] = None,
-                   bisect_iters: int = BISECT_ITERS, *,
+                   tol_sv: float = TOL_SV, samples: Optional[int] = None, *,
                    grid: Optional[np.ndarray] = None) -> List[CrossingLocation]:
     """Bracketed instants where dim ker(M(t)-I) exceeds stratum_floor.
 
-    Endpoints are tested directly.  Interior candidates are the local
-    minima of the monitored singular value, including one-sided minima
-    at the outermost samples; each is narrowed by slope bisection and
-    kept only if the refined value sits below the relative tolerance.
-    The neighbourhood of every accepted crossing is then rescanned with
-    the ratio monitor, because a second zero less than a grid step away
-    hides behind the first-order vanishing of its neighbour.  A refined
-    minimum in the ambiguous band between tol_sv and sqrt(tol_sv) raises
-    UnresolvedCrossing (tangential behaviour); persistent degeneracy
-    over consecutive grid points raises NonIsolated.
+    The excess eigenphases are counted on the scan grid and each crossing
+    is polished by Brent's method (module docstring).  A domain end whose
+    relative monitored singular value of M - I is at most tol_sv is an
+    endpoint crossing.  Each location carries its bracket and the
+    bracket's count, which rs_index_stratified checks against the
+    quotient-form signatures.  Refusals:
+
+    * an excess phase at zero (|phase| <= tol_sv) on three consecutive or
+      on too many grid samples raises NonIsolated;
+    * an excess phase that enters the band up to tol_sv **
+      AMBIGUITY_EXPONENT without changing the count raises
+      UnresolvedCrossing, as does a count that no isolated sign change
+      explains after MAX_SPLITS further splits.
 
     grid, when given, holds the path's matrices on the scan grid (the
     samples + 1 points of linspace over the domain) so a caller that
-    already evaluated them pays nothing here; otherwise they are
-    evaluated.  Each scan candidate carries the rate L: the larger
-    Frobenius norm of the grid differences beside it, over the step.
-    Before every bisection round, with r = SAFETY * L * w where w is the
-    width of the hull of its bracket and its best probe, a candidate with
-    best_g - r > cut * (best_scale + r), cut = tol_sv ** AMBIGUITY_EXPONENT,
-    is dropped: by Weyl's inequality every later probe would end above
-    the cut, so it would be neither accepted nor unresolved.  This holds
-    when the grid resolves M' to within the factor SAFETY.  Rebound
-    candidates have no grid rate (L = inf) and are never dropped.
+    already evaluated them pays nothing here.
     """
     a, b = path.domain
     count = path.sample_hint if samples is None else int(samples)
@@ -195,141 +328,17 @@ def find_crossings(path: SymplecticPath, stratum_floor: int = 0,
     elif np.shape(grid) != (count + 1, path.size, path.size):
         raise InvalidInput(f"grid must hold the path at {count + 1} scan points, "
                            f"got shape {np.shape(grid)}")
-    g, top = _sigma_of(grid, stratum_floor)
-    scale = np.maximum(top, 1.0)
-    below = g <= tol_sv * scale
-
-    run = 0
-    for flag in below:
-        run = run + 1 if flag else 0
-        if run >= 3:
-            raise NonIsolated(
-                "kernel excess persists over consecutive samples; the path "
-                "does not have isolated crossings at this stratum floor")
-    if int(below.sum()) > max(4, count // 20):
+    if stratum_floor >= path.size:
+        raise InvalidInput("stratum floor exceeds the matrix size")
+    scan = _PhaseScan(path, stratum_floor, tol_sv, ts, grid)
+    zero = scan.zero[:, 0]
+    if np.any(zero[:-2] & zero[1:-1] & zero[2:]):
+        raise NonIsolated(
+            "kernel excess persists over consecutive samples; the path "
+            "does not have isolated crossings at this stratum floor")
+    if int(zero.sum()) > max(4, count // 20):
         raise NonIsolated("kernel excess at too many samples for isolated crossings")
-
-    found: List[CrossingLocation] = []
-    if below[0]:
-        found.append(CrossingLocation(float(a), 0.0, "start"))
-    if below[-1]:
-        found.append(CrossingLocation(float(b), 0.0, "end"))
-
-    interior_min = []
-    # A crossing just inside the domain shows up as a monotone descent
-    # into an endpoint sample that itself clears the tolerance; bracket
-    # the outermost step as a one-sided candidate so it gets bisected.
-    if count >= 2 and not below[0] and g[0] <= g[1]:
-        interior_min.append(0)
-    for i in range(1, count):
-        if g[i] <= g[i - 1] and g[i] <= g[i + 1] and (g[i] < g[i - 1] or g[i] < g[i + 1]):
-            interior_min.append(i)
-    if count >= 2 and not below[-1] and g[count] <= g[count - 1]:
-        interior_min.append(count)
-
-    # rate L of M at each sample: the larger grid difference beside it
-    diff = np.linalg.norm(np.diff(grid, axis=0), axis=(-2, -1))
-    side = np.concatenate([diff[:1], np.maximum(diff[:-1], diff[1:]), diff[-1:]])
-    grid_rate = side * (count / (b - a))
-    cand = [(ts[max(i - 1, 0)], ts[min(i + 1, count)], ts[i], g[i], scale[i],
-             grid_rate[i]) for i in interior_min]
-    if count >= 2 and below[0]:
-        cand.extend(_edge_rebound_candidates(path, stratum_floor, float(a),
-                                             float(ts[2]), tol_sv))
-    if count >= 2 and below[-1]:
-        cand.extend(_edge_rebound_candidates(path, stratum_floor, float(b),
-                                             float(ts[count - 2]), tol_sv))
-
-    width_floor = 64 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
-    ambiguous_cut = tol_sv ** AMBIGUITY_EXPONENT
-
-    def refine_and_accept(cand_list) -> List[float]:
-        """Bisect candidate brackets; returns the newly accepted instants."""
-        if not cand_list:
-            return []
-        lo = np.array([c[0] for c in cand_list])
-        hi = np.array([c[1] for c in cand_list])
-        best_t = np.array([c[2] for c in cand_list])
-        best_g = np.array([c[3] for c in cand_list])
-        best_scale = np.array([c[4] for c in cand_list])
-        rate = np.array([c[5] for c in cand_list])
-
-        for _ in range(bisect_iters):
-            # drop clear misses (see the docstring); a dropped candidate
-            # keeps best_g / best_scale above the cut, so it stays a miss.
-            # SAFETY = inf times rate 0 gives nan, which drops nothing.
-            with np.errstate(invalid="ignore"):
-                reach = SAFETY * rate * (np.maximum(hi, best_t) - np.minimum(lo, best_t))
-                clear = best_g - reach > ambiguous_cut * (best_scale + reach)
-            active = ((hi - lo) > width_floor) & ~clear
-            if not np.any(active):
-                break
-            mid = 0.5 * (lo + hi)
-            delta = np.maximum((hi - lo) * 1e-3,
-                               4 * np.finfo(float).eps * np.maximum(np.abs(mid), 1.0))
-            probes = np.concatenate([mid[active] - delta[active], mid[active] + delta[active]])
-            gp, tp = _monitored_sigma(path, probes, stratum_floor)
-            half = len(gp) // 2
-            gl, gr = gp[:half], gp[half:]
-            idx = np.flatnonzero(active)
-            for j, k in enumerate(idx):
-                # smaller left probe: the minimum lies left of the midpoint
-                if gl[j] < gr[j]:
-                    hi[k] = mid[k] + delta[k]
-                else:
-                    lo[k] = mid[k] - delta[k]
-                for tt, gg, sc in ((mid[k] - delta[k], gl[j], tp[:half][j]),
-                                   (mid[k] + delta[k], gr[j], tp[half:][j])):
-                    if gg < best_g[k]:
-                        best_g[k], best_t[k] = gg, tt
-                        best_scale[k] = max(sc, 1.0)
-
-        fresh: List[float] = []
-        ambiguous: List[int] = []
-        for k in range(len(cand_list)):
-            rel = best_g[k] / best_scale[k]
-            if rel <= tol_sv:
-                t_star = float(best_t[k])
-                if abs(t_star - a) <= (b - a) * 1e-9 or abs(t_star - b) <= (b - a) * 1e-9:
-                    continue  # endpoint already reported
-                if any(abs(t_star - c.t) <= (b - a) * 1e-9 for c in found):
-                    continue
-                found.append(CrossingLocation(t_star, float(hi[k] - lo[k]), None))
-                fresh.append(t_star)
-            elif rel < ambiguous_cut:
-                ambiguous.append(k)
-        for k in ambiguous:
-            # A bracket adjoining a crossing that is already counted bisects
-            # into its edge and bottoms out above tol_sv without marking a
-            # new zero; only raise when no known crossing explains the dip.
-            halo = 4.0 * max(cand_list[k][1] - cand_list[k][0], width_floor)
-            if any(abs(float(best_t[k]) - c.t) <= halo for c in found):
-                continue
-            rel = best_g[k] / best_scale[k]
-            raise UnresolvedCrossing(
-                f"singular value bottoms out at relative {rel:.3e} near t={best_t[k]:.6g}; "
-                "tangential crossing or insufficient resolution")
-        return fresh
-
-    frontier = refine_and_accept(cand)
-    step = (b - a) / max(count, 1)
-    for _ in range(3):
-        if not frontier:
-            break
-        near = []
-        for t0 in frontier:
-            for inner in (max(a, t0 - 2 * step), min(b, t0 + 2 * step)):
-                near.extend(_edge_rebound_candidates(path, stratum_floor, t0,
-                                                     inner, tol_sv))
-        frontier = refine_and_accept(near)
-
-    found.sort(key=lambda c: c.t)
-    deduped: List[CrossingLocation] = []
-    for c in found:
-        if deduped and abs(c.t - deduped[-1].t) <= (b - a) * 1e-9:
-            continue
-        deduped.append(c)
-    return deduped
+    return _locate(scan)
 
 
 def crossing_form_matrix(path: SymplecticPath, t: float, basis: np.ndarray) -> np.ndarray:
@@ -393,17 +402,33 @@ def _quotient_basis(m: np.ndarray, fam_basis: np.ndarray, tol_sv: float):
     return u[:, :q], k.shape[1]
 
 
+def _report(path: SymplecticPath, family: KernelFamily, loc: CrossingLocation,
+            tol_sv: float, tol_eig: float) -> CrossingReport:
+    """Quotient crossing form at a located crossing; must be nondegenerate."""
+    basis, kdim = _quotient_basis(path(loc.t), family(loc.t), tol_sv)
+    form = crossing_form_matrix(path, loc.t, basis)
+    ine = inertia(form, tol_eig)
+    if ine.zero:
+        where = loc.at_endpoint or f"t={loc.t:.6g}"
+        raise IrregularCrossing(
+            f"quotient crossing form at {where} is degenerate "
+            f"({ine.zero} null direction(s) at tol_eig={tol_eig:.1e})")
+    return CrossingReport(loc.t, loc.hi - loc.lo, loc.at_endpoint, kdim, basis.shape[1],
+                          ine.signature, form, basis)
+
+
 def rs_index_stratified(path: SymplecticPath, family: KernelFamily,
                         tol_sv: float = TOL_SV, tol_eig: float = TOL_EIG,
                         samples: Optional[int] = None,
-                        bisect_iters: int = BISECT_ITERS,
                         validate: bool = True) -> IndexResult:
     """Index of a path relative to a kernel family.
 
     Endpoint quotient signatures enter with weight one half, interior
     ones with weight one; each quotient form must be nondegenerate
     (IrregularCrossing otherwise).  With a zero-dimensional family this
-    is the classical regular-crossing index.
+    is the classical regular-crossing index.  A bracket whose weighted
+    signature differs from its eigenphase count is located again on a
+    finer grid once; a second difference raises UnresolvedCrossing.
     """
     count = path.sample_hint if samples is None else int(samples)
     ts = np.linspace(path.domain[0], path.domain[1], count + 1)
@@ -414,46 +439,35 @@ def rs_index_stratified(path: SymplecticPath, family: KernelFamily,
     if validate and family.dim:
         _validate_family(path, family, ts, grid, tol_sv)
 
-    crossings = find_crossings(path, family.dim, tol_sv, count, bisect_iters,
-                               grid=grid)
     reports: List[CrossingReport] = []
-    start_sig = end_sig = 0
-    interior: List[int] = []
-    for loc in crossings:
-        m = path(loc.t)
-        fam_b = family(loc.t)
-        basis, kdim = _quotient_basis(m, fam_b, tol_sv)
-        form = crossing_form_matrix(path, loc.t, basis)
-        ine = inertia(form, tol_eig)
-        if ine.zero:
-            where = loc.at_endpoint or f"t={loc.t:.6g}"
-            raise IrregularCrossing(
-                f"quotient crossing form at {where} is degenerate "
-                f"({ine.zero} null direction(s) at tol_eig={tol_eig:.1e})")
-        sig = ine.signature
-        reports.append(CrossingReport(loc.t, loc.width, loc.at_endpoint,
-                                      kdim, basis.shape[1], sig, form, basis))
-        if loc.at_endpoint == "start":
-            start_sig = sig
-        elif loc.at_endpoint == "end":
-            end_sig = sig
-        else:
-            interior.append(sig)
-
-    value = HalfInteger.from_signatures(start_sig, interior, end_sig)
-    return IndexResult(value, reports, family.dim, tol_sv, tol_eig, count)
+    for loc in find_crossings(path, family.dim, tol_sv, count, grid=grid):
+        rep = _report(path, family, loc, tol_sv, tol_eig)
+        if rep.twice == loc.count:
+            reports.append(rep)
+            continue
+        fine = np.linspace(loc.lo, loc.hi, REFINE_SAMPLES + 1)
+        finer = _locate(_PhaseScan(path, family.dim, tol_sv, fine, path(fine)))
+        reps = [_report(path, family, c, tol_sv, tol_eig) for c in finer]
+        if (sum(c.count for c in finer) != loc.count
+                or any(r.twice != c.count for r, c in zip(reps, finer))):
+            raise UnresolvedCrossing(
+                f"eigenphase count {loc.count:+d} (twice the index) of the bracket "
+                f"[{loc.lo:.6g}, {loc.hi:.6g}] disagrees with its quotient-form "
+                f"signatures ({sum(r.twice for r in reps):+d} after refinement)")
+        reports.extend(reps)
+    return IndexResult(HalfInteger(sum(r.twice for r in reports)), reports,
+                       family.dim, tol_sv, tol_eig, count)
 
 
 def rs_index(path: SymplecticPath, tol_sv: float = TOL_SV, tol_eig: float = TOL_EIG,
-             samples: Optional[int] = None,
-             bisect_iters: int = BISECT_ITERS) -> IndexResult:
+             samples: Optional[int] = None) -> IndexResult:
     """Classical index: no distinguished family along the path.
 
     Every crossing form must be nondegenerate (IrregularCrossing
     otherwise).
     """
     return rs_index_stratified(path, _trivial_family(path.size), tol_sv, tol_eig,
-                               samples, bisect_iters)
+                               samples)
 
 
 def snm_index(snm_path, **kwargs) -> IndexResult:

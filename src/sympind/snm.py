@@ -125,17 +125,6 @@ class SnmElement:
         return cls(dims, psi, x, sym_part(e_raw) if pm else e_raw,
                    tol_symp=tol_symp, tol_sym=tol_sym, validate=False)
 
-    def compose(self, other: "SnmElement") -> "SnmElement":
-        """Group law; matches the product of assembled matrices."""
-        if self.dims != other.dims:
-            raise DimensionMismatch("elements live in different groups")
-        j0 = self.dims.j_loop()
-        psi = self.psi @ other.psi
-        psi2_inv = symplectic_inverse(other.psi, j0)
-        x = other.x + psi2_inv @ self.x
-        e = self.e + other.e + sym_part(self.x.T @ j0 @ other.psi @ other.x)
-        return SnmElement(self.dims, psi, x, e, validate=False)
-
     def inverse(self) -> "SnmElement":
         j0 = self.dims.j_loop()
         psi_inv = symplectic_inverse(self.psi, j0)

@@ -36,7 +36,7 @@ from .errors import (DegenerateAsymptote, InvalidInput, ShapeError,
 from .halfint import HalfInteger
 from .linalg import TOL_SV, kernel_basis, sym_part, symplectic_inverse
 from .paths import KernelFamily, SymplecticPath
-from .rsindex import (CrossingReport, endpoint_sigma, is_nondegenerate,
+from .rsindex import (CrossingReport, endpoint_phase, is_nondegenerate,
                       rs_index_stratified)
 from .snm import Dimensions, SnmElement, assemble_blocks, reduced_return_matrix
 
@@ -377,8 +377,8 @@ def spectral_flow_matrix(fam: OperatorFamily, tol_sv: float = FLOW_TOL_SV,
         if not is_nondegenerate(kernel.element, tol_sv):
             raise DegenerateAsymptote(
                 f"{side} asymptote is degenerate (kernel dimension "
-                f"{kernel.dimension}, relative monitored singular value "
-                f"{endpoint_sigma(kernel.element):.3e})")
+                f"{kernel.dimension}, smallest excess eigenphase "
+                f"{endpoint_phase(kernel.element):.3e})")
     path = fam.return_path()
     family = KernelFamily.dual_slot(fam.dims)
     result = rs_index_stratified(path, family, tol_sv=tol_sv, samples=samples,

@@ -160,6 +160,15 @@ def test_spectralflow_split_tanh(tmp_path, capsys):
     assert len(body["crossings"]) == 1
 
 
+@pytest.mark.parametrize("knob", ["--tol-sv", "--config"])
+def test_spectralflow_refuses_tolerances(tmp_path, capsys, knob):
+    fam = _write(tmp_path, "tanh.json", {"kind": "split_tanh", "m": 1})
+    value = "0.3" if knob == "--tol-sv" else _write(tmp_path, "cfg.json", {"tol_eig": 1e-6})
+    rc = main(["spectralflow", fam, "--modes", "8", "--json", knob, value])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "INVALID_INPUT"
+
+
 def test_verify_roundtrip_subcommand(capsys):
     rc = main(["verify", "roundtrip", "--count", "2", "--json", "--seed", "1"])
     assert rc == 0

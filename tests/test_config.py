@@ -8,7 +8,6 @@ from sympind import RunConfig
 from sympind.errors import InvalidInput
 from sympind.flows import TOL_CRIT
 from sympind.linalg import TOL_EIG, TOL_SV
-from sympind.rsindex import BISECT_ITERS
 from sympind.specflow import GALERKIN_MODES
 
 
@@ -17,7 +16,6 @@ def test_defaults_track_module_constants():
     assert cfg.tol_sv == TOL_SV
     assert cfg.tol_eig == TOL_EIG
     assert cfg.tol_crit == TOL_CRIT
-    assert cfg.bisect_iters == BISECT_ITERS
     assert cfg.fourier_modes == GALERKIN_MODES
     assert cfg.sample_hint == 512
     assert cfg.seed == 0 and cfg.output_format == "text"
@@ -35,6 +33,14 @@ def test_replace_returns_new_frozen_instance():
 def test_from_mapping_rejects_unknown_keys():
     with pytest.raises(InvalidInput):
         RunConfig.from_mapping({"tol_sv": 1e-8, "bogus": 1})
+
+
+@pytest.mark.parametrize("key", ["bisect_iters", "tol_sym", "tol_symp"])
+def test_removed_knobs_are_unknown_keys(tmp_path, key):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({key: 1e-9 if key.startswith("tol") else 60}))
+    with pytest.raises(InvalidInput, match="unknown config keys"):
+        RunConfig.from_file(str(p))
 
 
 def test_from_file_roundtrip(tmp_path):
@@ -60,7 +66,7 @@ def test_from_file_errors(tmp_path):
 
 @pytest.mark.parametrize("changes", [
     {"tol_sv": 0.0}, {"tol_sv": -1e-8}, {"tol_eig": float("nan")},
-    {"sample_hint": 8}, {"bisect_iters": 0}, {"fourier_modes": 0},
+    {"sample_hint": 8}, {"tol_crit": 0.0}, {"fourier_modes": 0},
     {"seed": -1}, {"output_format": "yaml"}, {"sample_hint": 12.5},
 ])
 def test_validation_rejects_bad_values(changes):

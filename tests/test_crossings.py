@@ -1,13 +1,16 @@
 """Crossing detection on paths engineered to defeat a naive grid scan."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sympind import (exp_path, constant_path, find_crossings, random_snm_path,
-                     rs_index, rsindex)
+                     rs_index)
 from sympind.errors import IrregularCrossing, NonIsolated, UnresolvedCrossing
 from sympind.linalg import standard_j
-from sympind.suites import _AXIOM_DIMS, _sp_path
+from sympind.suites import _AXIOM_DIMS, _sp_path, run_axiom
 
 J2 = standard_j(1)
 EYE2 = np.eye(2)
@@ -128,31 +131,45 @@ def test_clear_misses_need_no_refinement(counted):
 
 def _crossing_list(path, floor):
     try:
-        return [(c.t, c.width, c.at_endpoint) for c in find_crossings(path, floor)]
+        return [[c.t, c.at_endpoint] for c in find_crossings(path, floor)]
     except (NonIsolated, UnresolvedCrossing) as exc:
-        return (type(exc).__name__, str(exc))
+        return type(exc).__name__
 
 
-def test_pruning_keeps_crossing_lists_bit_identical(monkeypatch, counted):
-    # SAFETY = inf never drops a candidate: the unpruned reference
+def test_seeded_crossing_lists_match_recorded_values():
+    # 36 seeded draws, with the crossing lists that the singular-value
+    # search with bisection located for them
+    recorded = json.loads((Path(__file__).parent / "data" / "crossing_lists.json")
+                          .read_text(encoding="utf-8"))
     rng = np.random.default_rng(20261018)
     draws = []
     for i in range(18):
         dims = _AXIOM_DIMS[i % len(_AXIOM_DIMS)]
         draws.append((random_snm_path(rng, dims).to_path(), dims.m))
         draws.append((_sp_path(rng, 1 + i % 2, translate=bool(i % 3)), 0))
+    assert len(recorded) == len(draws)
+    for (path, floor), want in zip(draws, recorded):
+        got = _crossing_list(path, floor)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert [c[1] for c in got] == [c[1] for c in want]
+        np.testing.assert_allclose([c[0] for c in got], [c[0] for c in want],
+                                   rtol=0.0, atol=1e-12)
+    assert any(want for want in recorded)
 
-    def run():
-        lists, batches = [], 0
-        for path, floor in draws:
-            path, sizes = counted(path)
-            lists.append(_crossing_list(path, floor))
-            batches += len(sizes)
-        return lists, batches
 
-    pruned, pruned_batches = run()
-    monkeypatch.setattr(rsindex, "SAFETY", np.inf)
-    reference, reference_batches = run()
-    assert pruned == reference
-    assert pruned_batches < reference_batches
-    assert any(isinstance(r, list) and r for r in reference)
+@pytest.mark.parametrize("name, seed", [
+    ("product", 151), ("product", 277), ("catenation", 305),
+    ("catenation", 332), ("catenation", 357), ("loop", 332)])
+def test_seeded_law_draws_hidden_behind_a_neighbouring_branch(name, seed):
+    # each draw has a crossing that the minimum singular value of M - I
+    # hides behind another branch; the eigenphase count sees every branch
+    check = run_axiom(name, seed, instances=3)
+    assert check.passed, check.detail
+
+
+def test_samples_with_eigenvalue_minus_one():
+    # exact -I on the scan grid is phase pi: no crossing, no refusal
+    assert rs_index(constant_path(-np.eye(4))).value.twice == 0
+    assert rs_index(exp_path(np.pi * EYE2, J2)).value.twice == 2

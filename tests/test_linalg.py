@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from sympind import inertia, signature, standard_j, sym_part
 from sympind.linalg import (ExpCurve, kernel_basis, kernel_dimension,
                             random_orthogonal, random_symmetric,
-                            random_symplectic, singular_values,
+                            random_symplectic,
                             symplectic_defect, symplectic_inverse)
 
 
@@ -55,17 +55,6 @@ def test_kernel_basis_orthonormal_and_annihilated():
     np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-12)
     assert float(np.max(np.abs(m @ basis))) < 1e-10
     assert kernel_dimension(m, tol_sv=1e-10) == 2
-
-
-def test_singular_values_descending():
-    rng = np.random.default_rng(2)
-    sv = singular_values(rng.standard_normal((4, 4)))
-    assert np.all(np.diff(sv) <= 0)
-    stack = rng.standard_normal((3, 4, 4))
-    batched = singular_values(stack)
-    assert np.all(np.diff(batched, axis=-1) <= 0)
-    np.testing.assert_array_equal(
-        batched, np.linalg.svd(stack, compute_uv=False))
 
 
 def test_symplectic_inverse_vs_solve():

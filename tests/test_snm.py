@@ -76,28 +76,12 @@ def test_constructor_rejects_wrong_psi_shape():
         SnmElement(Dimensions(2, 1), np.eye(2), np.zeros((4, 1)), np.zeros((1, 1)))
 
 
-def test_compose_matches_matrix_product():
-    rng = np.random.default_rng(3)
-    dims = Dimensions(1, 2)
-    a = _random_element(rng, dims)
-    b = _random_element(rng, dims)
-    np.testing.assert_allclose(a.compose(b).to_matrix(),
-                               a.to_matrix() @ b.to_matrix(), atol=1e-10)
-
-
 def test_inverse_is_group_inverse():
     rng = np.random.default_rng(4)
     dims = Dimensions(2, 1)
     a = _random_element(rng, dims)
-    prod = a.compose(a.inverse()).to_matrix()
+    prod = a.to_matrix() @ a.inverse().to_matrix()
     np.testing.assert_allclose(prod, np.eye(dims.total), atol=1e-9)
-
-
-def test_compose_dimension_mismatch():
-    a = SnmElement.identity(Dimensions(1, 1))
-    b = SnmElement.identity(Dimensions(2, 1))
-    with pytest.raises(DimensionMismatch):
-        a.compose(b)
 
 
 def test_stratum_identity_and_generic():

@@ -140,6 +140,18 @@ def test_main_theorem_single_instance():
                for c in report.flow_matrix.crossings)
 
 
+def test_crossing_pair_two_grid_steps_apart():
+    # crossings at s = -0.527 and -0.406, 1.9 scan steps apart: the matrix
+    # flow must see both and equal the Galerkin flow and the index difference
+    fam = random_operator_family(Dimensions(2, 2), seed=9007)
+    left = path_from_coefficients(fam.left_asymptote())
+    right = path_from_coefficients(fam.right_asymptote())
+    report = main_theorem_check(left, right, fam)
+    assert report.flow_matrix.value == report.flow_galerkin.value == 0
+    assert report.index_difference.as_int() == 0
+    assert report.ok
+
+
 def test_generator_skips_asymptotes_in_the_ambiguous_band():
     # the first draw of seed 6001 has a left asymptote at relative
     # monitored singular value 2.7e-5: no kernel at tol_sv, but inside
