@@ -22,15 +22,16 @@ the number of phases in (0, delta), a phase at zero counting one half, is
 flow).  Intervals with a nonzero count, with no window, or with a phase
 within reach of zero (a zero-net pair inside one step) are split, and
 each isolated sign change of the smallest excess phase goes to Brent's
-method.  The singular values of M - I serve only at the two domain ends
-and for the kernel at a located crossing.
+method.  A crossing whose weighted quotient-form signature differs from
+its count has its bracket split again.  The singular values of M - I
+serve only at the two domain ends and for the kernel at a crossing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 from scipy.optimize import brentq
@@ -51,8 +52,6 @@ AMBIGUITY_EXPONENT = 0.5
 # pieces a flagged scan interval is split into, and how often
 SPLIT = 4
 MAX_SPLITS = 6
-# grid points per bracket when a count disagrees with its signatures
-REFINE_SAMPLES = 64
 
 
 @dataclass
@@ -81,11 +80,6 @@ class CrossingReport:
     def weight(self) -> float:
         return 0.5 if self.at_endpoint else 1.0
 
-    @property
-    def twice(self) -> int:
-        """Twice the index contribution: the signature, times two inside."""
-        return self.signature if self.at_endpoint else 2 * self.signature
-
 
 @dataclass
 class IndexResult:
@@ -97,13 +91,15 @@ class IndexResult:
     samples: int
 
     def recompute_twice(self) -> int:
-        return sum(c.twice for c in self.crossings)
+        twice = 0
+        for c in self.crossings:
+            twice += c.signature if c.at_endpoint else 2 * c.signature
+        return twice
 
 
 def endpoint_phase(el: SnmElement) -> float:
-    """Smallest excess eigenphase of the Souriau map of a subgroup element
-    (excess over the m dual directions): what find_crossings compares with
-    its cuts."""
+    """Smallest eigenphase of a subgroup element beyond its m dual
+    directions: what find_crossings compares with its cuts."""
     return abs(float(_phases(el.to_matrix()[None], el.dims.j_ext(), el.dims.m)[0, 0]))
 
 
@@ -120,8 +116,7 @@ def _phases(ms: np.ndarray, jmat: np.ndarray, floor: int) -> np.ndarray:
     """Signed excess eigenphases of the Souriau map, sorted by modulus; batched.
 
     They are 2 arctan of the eigenvalues of the symmetric Cayley transform
-    J (M + I)^{-1} (M - I), which keeps small phases to full relative
-    accuracy.
+    J (M + I)^{-1} (M - I), which keeps small phases to full accuracy.
     """
     eye = np.eye(ms.shape[-1])
     try:
@@ -136,20 +131,23 @@ def _phases(ms: np.ndarray, jmat: np.ndarray, floor: int) -> np.ndarray:
     return np.take_along_axis(phases, order, axis=-1)[..., floor:]
 
 
-def _reach(ms: np.ndarray) -> np.ndarray:
-    """2 |W(t_{i+1}) - W(t_i)|_F between samples along axis -3.
+def _reach(ms: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """2 |W(t_{i+1}) - W(t_i)|_F for the listed intervals i of the samples ms.
 
     Graphs are Lagrangian, so |W - W'|_F = sqrt(2) |Pi - Pi'|_F for the
     orthogonal projectors Pi onto them, whose blocks are K, M K and M K M^T
     with K = (I + M^T M)^{-1}.
     """
-    def step(block):
-        return np.sum(np.diff(block, axis=-3) ** 2, axis=(-2, -1))
+    at, pos = np.unique(np.concatenate([i, i + 1]), return_inverse=True)
+    m, a, b = ms[at], pos[:len(i)], pos[len(i):]
 
-    k = np.linalg.inv(np.eye(ms.shape[-1]) + np.swapaxes(ms, -1, -2) @ ms)
+    def step(block):
+        return np.sum((block[b] - block[a]) ** 2, axis=(-2, -1))
+
+    k = np.linalg.inv(np.eye(m.shape[-1]) + np.swapaxes(m, -1, -2) @ m)
     square = step(k)
-    k = ms @ k
-    square += 2.0 * step(k) + step(k @ np.swapaxes(ms, -1, -2))
+    k = m @ k
+    square += 2.0 * step(k) + step(k @ np.swapaxes(m, -1, -2))
     return 2.0 * np.sqrt(2.0 * square)
 
 
@@ -169,7 +167,7 @@ class _PhaseScan:
         excess = np.maximum(np.sum(rel <= tol_sv, axis=-1) - floor, 0)
         self.ends = {t: int(k) for t, k, at in zip(path.domain, excess, ts[[0, -1]])
                      if at == t}
-        self.ts, self.ms, self.reach = ts, ms, _reach(ms)
+        self.ts, self.ms = ts, ms
         self.ph, self.zero = self._phase_data(ts, ms)
 
     def _phase_data(self, ts: np.ndarray, ms: np.ndarray):
@@ -186,40 +184,34 @@ class _PhaseScan:
         lo, hi = self.ts[intervals, None], self.ts[intervals + 1, None]
         ts = (lo + (hi - lo) * np.arange(1, SPLIT) / SPLIT).ravel()
         ms = self.path(ts)
-        runs = np.concatenate([self.ms[intervals, None],
-                               ms.reshape((len(intervals), SPLIT - 1) + ms.shape[1:]),
-                               self.ms[intervals + 1, None]], axis=1)
-        pieces = np.ones(len(self.reach), int)
-        pieces[intervals] = SPLIT
-        first = np.cumsum(pieces) - pieces  # merged index of each old sample
-        self.reach = np.repeat(self.reach, pieces)
-        self.reach[first[intervals, None] + np.arange(SPLIT)] = _reach(runs)
-        at = (first[intervals, None] + np.arange(1, SPLIT)).ravel()
-        old = np.append(first, first[-1] + pieces[-1])
-        merged = []
-        for a, b in zip((self.ts, self.ms, self.ph, self.zero), (ts, ms) + self._phase_data(ts, ms)):
-            out = np.empty((len(a) + len(b),) + a.shape[1:], a.dtype)
-            out[old], out[at] = a, b
-            merged.append(out)
-        self.ts, self.ms, self.ph, self.zero = merged
+        at = np.searchsorted(self.ts, ts)
+        old, new = (self.ts, self.ms, self.ph, self.zero), (ts, ms) + self._phase_data(ts, ms)
+        self.ts, self.ms, self.ph, self.zero = (np.insert(a, at, b, axis=0)
+                                                for a, b in zip(old, new))
 
     def intervals(self):
         """Per interval: twice its index by the phase count, whether a
         window exists, and whether a phase is within reach of zero."""
-        reach, mag = self.reach, np.abs(self.ph)
-        vals = np.sort(np.concatenate([mag[:-1], mag[1:]], axis=-1), axis=-1)
-        lo = np.pad(vals, ((0, 0), (1, 0)))
-        hi = np.pad(vals, ((0, 0), (0, 1)), constant_values=math.pi)
-        best = np.argmax(hi - lo, axis=-1)[:, None]
-        lo, hi = np.take_along_axis(lo, best, -1), np.take_along_axis(hi, best, -1)
-        delta = 0.5 * (lo + hi)
+        mag = np.abs(self.ph)
+        edges = np.full((len(mag) - 1, 2 * mag.shape[1] + 2), math.pi)
+        edges[:, 0] = 0.0
+        edges[:, 1:-1] = np.sort(np.concatenate([mag[:-1], mag[1:]], axis=-1), axis=-1)
+        rows = np.arange(len(edges))
+        best = np.argmax(np.diff(edges, axis=-1), axis=-1)
+        lo, hi = edges[rows, best], edges[rows, best + 1]
+        delta, gap, low = 0.5 * (lo + hi)[:, None], hi - lo, mag[:-1, 0] + mag[1:, 0]
+        # |Pi - Pi'|_F <= sqrt(2) |M - M'|_F, so 4 |M - M'|_F bounds the
+        # reach; _reach is needed only where the bound decides nothing
+        step = np.diff(self.ms, axis=0)
+        reach = 4.0 * np.sqrt(np.einsum("ijk,ijk->i", step, step))
+        i = np.flatnonzero((gap <= 2.0 * reach) | (low <= reach))
+        reach[i] = _reach(self.ms, i)
 
         def twice_n(ph, zero):
             return zero.sum(-1) + 2 * np.sum((ph > 0.0) & (ph < delta) & ~zero, -1)
 
         count = twice_n(self.ph[:-1], self.zero[:-1]) - twice_n(self.ph[1:], self.zero[1:])
-        near = mag[:-1, 0] + mag[1:, 0] <= reach
-        return count, (hi - lo)[:, 0] > 2.0 * reach, near
+        return count, gap > 2.0 * reach, low <= reach
 
 
 def _groups(count: np.ndarray, zero: np.ndarray):
@@ -232,14 +224,34 @@ def _groups(count: np.ndarray, zero: np.ndarray):
     return list(zip(first, last + 1)), active
 
 
-def _locate(scan: _PhaseScan) -> List[CrossingLocation]:
+def _smallest_phase(t: float, path: SymplecticPath, floor: int, known: dict) -> float:
+    """The smallest excess phase at t, signed; memoized in known."""
+    if t not in known:
+        known[t] = _phases(path(np.array([t])), path.jmat, floor)[0, 0]
+    return known[t]
+
+
+def _check_band(scan: _PhaseScan, active: np.ndarray) -> None:
+    """Refuse a phase that enters the ambiguous band with no count change."""
+    f = scan.ph[:, 0]
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], np.abs(f) < scan.band, [0]])))
+    for p, q in zip(edges[::2], edges[1::2]):
+        if not active[max(p - 1, 0):q].any():
+            k = p + int(np.argmin(np.abs(f[p:q])))
+            raise UnresolvedCrossing(
+                f"excess eigenphase bottoms out at {abs(f[k]):.3e} near t={scan.ts[k]:.6g} "
+                "without changing the count; tangential crossing or insufficient "
+                "resolution")
+
+
+def _locate(scan: _PhaseScan, judge: Optional[Callable]) -> List[CrossingLocation]:
     """Isolate and polish every crossing on the scan's samples."""
     a, b = scan.path.domain
     width_floor = 64 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
     count, window, near = scan.intervals()
     scan.split(np.flatnonzero((count != 0) | ~window | near))
-    roots = {}
-    for _ in range(MAX_SPLITS + 1):
+    roots, splits = {}, 0
+    while True:
         count, window, _ = scan.intervals()
         ts, f, zero = scan.ts, scan.ph[:, 0], scan.zero[:, 0]
         groups, active = _groups(count, zero)
@@ -252,69 +264,67 @@ def _locate(scan: _PhaseScan) -> List[CrossingLocation]:
                 found.append(CrossingLocation(b, lo, hi, "end", total))
             elif total and f[u] * f[v] < 0.0:
                 if (lo, hi) not in roots:
-                    known = {lo: f[u], hi: f[v]}
-
-                    def phase(t):  # the smallest excess phase, signed
-                        if t not in known:
-                            ms = scan.path(np.array([t]))
-                            known[t] = _phases(ms, scan.path.jmat, scan.floor)[0, 0]
-                        return known[t]
-
                     # superlinear at a regular crossing, slow at an odd-order
-                    # tangency; the phase at the result is the judge
-                    t_star = brentq(phase, lo, hi, xtol=width_floor, maxiter=200, disp=False)
-                    roots[lo, hi] = t_star if abs(phase(t_star)) <= scan.zero_cut else None
+                    # tangency; the phase at the result decides.  The
+                    # objective's state goes in args, not in a closure:
+                    # brentq wraps the callable in a reference cycle, which
+                    # would hold the path until the cycle collector runs.
+                    known = {lo: f[u], hi: f[v]}
+                    args = (scan.path, scan.floor, known)
+                    t_star = brentq(_smallest_phase, lo, hi, args=args,
+                                    xtol=width_floor, maxiter=200, disp=False)
+                    ok = abs(_smallest_phase(t_star, *args)) <= scan.zero_cut
+                    roots[lo, hi] = t_star if ok else None
                 if roots[lo, hi] is None:
                     pending.extend(range(u, v))
                 else:
                     found.append(CrossingLocation(roots[lo, hi], lo, hi, None, total))
             elif not total and f[u] * f[v] > 0.0 and v > u + 1:
                 # touches zero without changing the count: left to the
-                # crossing form (IrregularCrossing) or the signature check
+                # crossing form (IrregularCrossing) or to judge
                 k = u + 1 + int(np.argmin(np.abs(f[u + 1:v])))
                 found.append(CrossingLocation(float(ts[k]), lo, hi, None, total))
             else:
                 pending.extend(range(u, v))
+        rejected = []
         if not pending:
-            break
+            _check_band(scan, active)
+            rejected = [loc for loc in found if judge is not None and not judge(loc)]
+            if not rejected:
+                return found
+            pending = [i for loc in rejected for i in range(*np.searchsorted(ts, [loc.lo, loc.hi]))]
+        if splits == MAX_SPLITS:
+            what = "disagrees with its quotient-form signature" if rejected else "is not isolated"
+            raise UnresolvedCrossing(f"eigenphase count near t={ts[pending[0]]:.6g} {what} "
+                                     f"after {MAX_SPLITS} splits; insufficient resolution")
         scan.split(np.unique(pending))
-    else:
-        raise UnresolvedCrossing(
-            f"eigenphase count not isolated after {MAX_SPLITS} splits near "
-            f"t={scan.ts[pending[0]]:.6g}; insufficient resolution")
-
-    # a phase that enters the ambiguous band without changing the count is
-    # a tangential near-crossing
-    inside = np.abs(f) < scan.band
-    edges = np.flatnonzero(np.diff(np.pad(inside.astype(int), 1)))
-    for p, q in zip(edges[::2], edges[1::2]):
-        if not active[max(p - 1, 0):q].any():
-            k = p + int(np.argmin(np.abs(f[p:q])))
-            raise UnresolvedCrossing(
-                f"excess eigenphase bottoms out at {abs(f[k]):.3e} near t={ts[k]:.6g} "
-                "without changing the count; tangential crossing or insufficient "
-                "resolution")
-    return found
+        splits += 1
 
 
 def find_crossings(path: SymplecticPath, stratum_floor: int = 0,
                    tol_sv: float = TOL_SV, samples: Optional[int] = None, *,
-                   grid: Optional[np.ndarray] = None) -> List[CrossingLocation]:
+                   grid: Optional[np.ndarray] = None,
+                   judge: Optional[Callable[[CrossingLocation], bool]] = None
+                   ) -> List[CrossingLocation]:
     """Bracketed instants where dim ker(M(t)-I) exceeds stratum_floor.
 
     The excess eigenphases are counted on the scan grid and each crossing
     is polished by Brent's method (module docstring).  A domain end whose
     relative monitored singular value of M - I is at most tol_sv is an
     endpoint crossing.  Each location carries its bracket and the
-    bracket's count, which rs_index_stratified checks against the
-    quotient-form signatures.  Refusals:
+    bracket's count.  Refusals:
 
     * an excess phase at zero (|phase| <= tol_sv) on three consecutive or
       on too many grid samples raises NonIsolated;
     * an excess phase that enters the band up to tol_sv **
       AMBIGUITY_EXPONENT without changing the count raises
       UnresolvedCrossing, as does a count that no isolated sign change
-      explains after MAX_SPLITS further splits.
+      explains after MAX_SPLITS splits.
+
+    judge, when given, sees every location once the count is isolated; a
+    location it rejects (rs_index_stratified: its weighted signature is
+    not its count) has its bracket split further, and a rejection that
+    outlasts the MAX_SPLITS splits raises UnresolvedCrossing.
 
     grid, when given, holds the path's matrices on the scan grid (the
     samples + 1 points of linspace over the domain) so a caller that
@@ -338,7 +348,7 @@ def find_crossings(path: SymplecticPath, stratum_floor: int = 0,
             "does not have isolated crossings at this stratum floor")
     if int(zero.sum()) > max(4, count // 20):
         raise NonIsolated("kernel excess at too many samples for isolated crossings")
-    return _locate(scan)
+    return _locate(scan, judge)
 
 
 def crossing_form_matrix(path: SymplecticPath, t: float, basis: np.ndarray) -> np.ndarray:
@@ -353,10 +363,8 @@ def _trivial_family(size: int) -> KernelFamily:
 
 def _validate_family(path: SymplecticPath, family: KernelFamily, ts: np.ndarray,
                      ms: np.ndarray, tol_sv: float) -> None:
-    """Frames orthonormal, inside ker(M - I) and of constant symplectic rank.
-
-    ms holds the path's matrices at ts.
-    """
+    """Frames at ts orthonormal, inside ker(M - I) (ms: the path at ts)
+    and of constant symplectic rank."""
     bs = family(ts)
     if bs.shape[-2:] != (path.size, family.dim):
         raise ContainmentError(
@@ -426,9 +434,9 @@ def rs_index_stratified(path: SymplecticPath, family: KernelFamily,
     Endpoint quotient signatures enter with weight one half, interior
     ones with weight one; each quotient form must be nondegenerate
     (IrregularCrossing otherwise).  With a zero-dimensional family this
-    is the classical regular-crossing index.  A bracket whose weighted
-    signature differs from its eigenphase count is located again on a
-    finer grid once; a second difference raises UnresolvedCrossing.
+    is the classical regular-crossing index.  A crossing whose weighted
+    signature is not its eigenphase count is split further by
+    find_crossings, which raises UnresolvedCrossing if that persists.
     """
     count = path.sample_hint if samples is None else int(samples)
     ts = np.linspace(path.domain[0], path.domain[1], count + 1)
@@ -439,24 +447,19 @@ def rs_index_stratified(path: SymplecticPath, family: KernelFamily,
     if validate and family.dim:
         _validate_family(path, family, ts, grid, tol_sv)
 
-    reports: List[CrossingReport] = []
-    for loc in find_crossings(path, family.dim, tol_sv, count, grid=grid):
-        rep = _report(path, family, loc, tol_sv, tol_eig)
-        if rep.twice == loc.count:
-            reports.append(rep)
-            continue
-        fine = np.linspace(loc.lo, loc.hi, REFINE_SAMPLES + 1)
-        finer = _locate(_PhaseScan(path, family.dim, tol_sv, fine, path(fine)))
-        reps = [_report(path, family, c, tol_sv, tol_eig) for c in finer]
-        if (sum(c.count for c in finer) != loc.count
-                or any(r.twice != c.count for r, c in zip(reps, finer))):
-            raise UnresolvedCrossing(
-                f"eigenphase count {loc.count:+d} (twice the index) of the bracket "
-                f"[{loc.lo:.6g}, {loc.hi:.6g}] disagrees with its quotient-form "
-                f"signatures ({sum(r.twice for r in reps):+d} after refinement)")
-        reports.extend(reps)
-    return IndexResult(HalfInteger(sum(r.twice for r in reports)), reports,
-                       family.dim, tol_sv, tol_eig, count)
+    reports = {}
+
+    def agrees(loc: CrossingLocation) -> bool:
+        rep = reports[loc.t] = _report(path, family, loc, tol_sv, tol_eig)
+        return rep.signature * (1 if rep.at_endpoint else 2) == loc.count
+
+    locs = find_crossings(path, family.dim, tol_sv, count, grid=grid, judge=agrees)
+    crossings = [reports[loc.t] for loc in locs]
+    ends = {c.at_endpoint: c.signature for c in crossings}
+    value = HalfInteger.from_signatures(
+        ends.get("start", 0), [c.signature for c in crossings if not c.at_endpoint],
+        ends.get("end", 0))
+    return IndexResult(value, crossings, family.dim, tol_sv, tol_eig, count)
 
 
 def rs_index(path: SymplecticPath, tol_sv: float = TOL_SV, tol_eig: float = TOL_EIG,

@@ -1,6 +1,8 @@
 """Crossing detection on paths engineered to defeat a naive grid scan."""
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from sympind import (exp_path, constant_path, find_crossings, random_snm_path,
                      rs_index)
 from sympind.errors import IrregularCrossing, NonIsolated, UnresolvedCrossing
 from sympind.linalg import standard_j
+from sympind.paths import SymplecticPath
 from sympind.suites import _AXIOM_DIMS, _sp_path, run_axiom
 
 J2 = standard_j(1)
@@ -82,6 +85,52 @@ def test_crossing_report_contents():
     assert rep.signature == 2 and rep.weight == 1.0
     # rotation through the identity: form is dphase * I on the kernel
     np.testing.assert_allclose(rep.form, np.eye(2), atol=1e-6)
+
+
+def _rotation_pair(c1, c2):
+    # rotations by t - c1 and t - c2 in the two symplectic planes of R^4
+    def blocks(t, entries):
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape + (4, 4))
+        for i, c in enumerate((c1, c2)):
+            a, b = entries(t - c)
+            out[..., i, i], out[..., i, i + 2] = a, -b
+            out[..., i + 2, i], out[..., i + 2, i + 2] = b, a
+        return out
+
+    return SymplecticPath((0.0, 1.0), lambda t: blocks(t, lambda x: (np.cos(x), np.sin(x))),
+                          lambda t: blocks(t, lambda x: (-np.sin(x), np.cos(x))),
+                          jmat=standard_j(2))
+
+
+def test_same_sign_pair_split_by_the_signature_check():
+    # both planes turn through the identity 1e-4 apart: the first bracket
+    # counts both (+8) but its kernel holds one (+4), so it is split again
+    res = rs_index(_rotation_pair(0.3, 0.3001))
+    assert res.value.twice == 8
+    assert [c.signature for c in res.crossings] == [2, 2]
+    np.testing.assert_allclose([c.t for c in res.crossings], [0.3, 0.3001], atol=1e-10)
+
+
+def test_pair_below_resolution_is_refused_not_halved():
+    # 3e-8 apart: above the kernel cut, below what the splits resolve
+    with pytest.raises(UnresolvedCrossing, match="disagrees"):
+        rs_index(_rotation_pair(0.3, 0.3 + 3e-8))
+
+
+def test_index_call_releases_its_path():
+    # nothing the root polishing hands to scipy may keep the path (and
+    # with it a return path's operator family) alive until the cycle
+    # collector happens to run
+    path = _phase_path(lambda t: t - 0.3, lambda t: np.ones_like(np.asarray(t, float)))
+    ref = weakref.ref(path)
+    gc.disable()
+    try:
+        assert rs_index(path).value.twice == 4
+        del path
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_constant_identity_is_non_isolated():
