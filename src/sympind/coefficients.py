@@ -47,6 +47,7 @@ from .snm import Dimensions, SnmElement, assemble_blocks
 BLOWUP_LIMIT = 1e8
 SYMPLECTIC_LOSS = 1e-6
 _STEP_BLOCK = 64
+_TABLE_BLOCK = 64
 
 
 def periodic_midpoints(values: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -195,13 +196,15 @@ def _j0_times(dims: Dimensions, mat: np.ndarray, out: np.ndarray) -> None:
     out[..., n:, :] = mat[..., :n, :]
 
 
-def _generator_tables(dims: Dimensions, s, c, d):
+def generator_tables(dims: Dimensions, s, c, d):
     """K at the theta nodes (wrap node appended) and at the midpoints.
 
     s, c, d are periodic samples batched as (B, N, ...).  Each block of
     the node table is written in place; the midpoint table is the
     spectral midpoint interpolant of the node table, which is linear and
     acts entrywise, so it equals K built from interpolated coefficients.
+    It is taken _TABLE_BLOCK batch entries at a time, which bounds the
+    FFT's complex temporaries and changes no value.
     """
     batch, n_theta = s.shape[:2]
     size = dims.loop + dims.m
@@ -212,7 +215,11 @@ def _generator_tables(dims: Dimensions, s, c, d):
     _j0_times(dims, s, j0s_k)
     _j0_times(dims, np.swapaxes(c, -1, -2), j0ct_k)
     nodes[:, -1] = nodes[:, 0]
-    return nodes, periodic_midpoints(nodes[:, :-1], axis=1)
+    mids = np.empty((batch, n_theta, size, size))
+    for i in range(0, batch, _TABLE_BLOCK):
+        mids[i:i + _TABLE_BLOCK] = periodic_midpoints(nodes[i:i + _TABLE_BLOCK, :-1],
+                                                      axis=1)
+    return nodes, mids
 
 
 def _step_increments(dims: Dimensions, k_lo: np.ndarray, k_mid: np.ndarray,
@@ -308,9 +315,9 @@ def integrate_path(dims: Dimensions, thetas: np.ndarray, nodes: np.ndarray,
                     de=sym_part(df))
 
 
-def return_data(dims: Dimensions, s, c, d):
-    """(Psi, X, E) at theta = 1 for periodic samples batched as (B, N, ...)."""
-    w = _propagate(dims, *_generator_tables(dims, s, c, d), keep_nodes=False)
+def return_data(dims: Dimensions, nodes: np.ndarray, mids: np.ndarray):
+    """(Psi, X, E) at theta = 1 for K tables batched as (B, N+1, ...), (B, N, ...)."""
+    w = _propagate(dims, nodes, mids, keep_nodes=False)
     _, f, psi, a = _state_blocks(dims, w)
     return psi, symplectic_inverse(psi, dims.j_loop()) @ a, sym_part(f)
 
@@ -320,7 +327,7 @@ def path_from_coefficients(coeffs: OperatorCoefficients,
     """Integrate the coefficient ODEs into a sampled subgroup path."""
     if nsteps is not None and nsteps != coeffs.n_theta:
         coeffs = coeffs.resampled(nsteps)
-    nodes, mids = _generator_tables(coeffs.dims, coeffs.s[None], coeffs.c[None],
+    nodes, mids = generator_tables(coeffs.dims, coeffs.s[None], coeffs.c[None],
                                    coeffs.d[None])
     thetas = np.linspace(0.0, 1.0, coeffs.n_theta + 1)
     return integrate_path(coeffs.dims, thetas, nodes[0], mids[0])

@@ -19,17 +19,27 @@ Both routes return the same integer on nondegenerate families; crossing
 reports carry the quadratic-form matrices computed three ways (from the
 path derivative, from the endpoint-block display, and from the reduced
 (zeta_0, ell) display) so their agreement can be asserted.
+
+A family is the componentwise cubic spline in s of its coefficient
+tables.  Both that spline and the generator K of the theta-ODE are
+linear in the tables, so a family is stored as a few basis coefficient
+sets B_k with their K tables, built once, and per-s weights u_k(s):
+K(s) = sum_k u_k(s) K(B_k), summed term by term in a fixed order, so an
+s value's return data is the same in every batch (see OperatorFamily).
+Each end's kernel is integrated once per family and shared by the
+generator's retry, spectral_flow_matrix and main_theorem_check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .coefficients import (OperatorCoefficients, PathData,
+from .coefficients import (OperatorCoefficients, PathData, generator_tables,
                            path_from_coefficients, return_data)
 from .errors import (DegenerateAsymptote, InvalidInput, ShapeError,
                      TruncationUnstable)
@@ -52,58 +62,111 @@ FD_S_FACTOR = 1e-6
 _S_CHUNK = 64
 
 
-class OperatorFamily:
-    """Coefficient tables over an s-grid with frozen ends.
+def _spline_slopes(s_grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Node slopes of the not-a-knot cubic spline of values (axis 0).
 
-    Tables are sampled at (s_i, theta_j) with theta_j = j/N; between
-    s-grid points the family is the componentwise cubic spline of its
-    samples, which is what every computation here consumes.
+    The slopes are a fixed linear map of the values: row i of the map is
+    the slope at node i of each cardinal spline (the spline of a unit
+    vector), so one small spline serves tables of any shape.
+    """
+    cardinal = CubicSpline(s_grid, np.eye(len(s_grid)), axis=0)(s_grid, 1)
+    return np.tensordot(cardinal, values, axes=1)
+
+
+def _hermite(s_grid: np.ndarray, s: np.ndarray):
+    """Interval index i of each s and its cubic Hermite weights.
+
+    The weights (h00, dh10, h01, dh11) multiply the value at s_i, the
+    slope at s_i, the value at s_i+1 and the slope at s_i+1; at a node
+    they are exactly (1, 0, 0, 0), or (0, 0, 1, 0) at the last node.
+    s outside the grid is moved to its nearer end.
+    """
+    s = np.clip(s, s_grid[0], s_grid[-1])
+    i = np.clip(np.searchsorted(s_grid, s, side="right") - 1, 0, len(s_grid) - 2)
+    step = s_grid[i + 1] - s_grid[i]
+    t = (s - s_grid[i]) / step
+    r = 1.0 - t
+    return i, np.stack([(1.0 + 2.0 * t) * r * r, step * t * r * r,
+                        t * t * (3.0 - 2.0 * t), step * t * t * (t - 1.0)], axis=1)
+
+
+def _combine(sets: np.ndarray, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_j u[:, j] sets[idx[..., j]], one term at a time, elementwise.
+
+    idx is (B, k), or (k,) when every s uses the same sets.  The terms
+    are added in a fixed order by elementwise operations only, so the
+    value for one s does not depend on the batch it is part of.
+    """
+    shape = (len(u),) + (1,) * (sets.ndim - 1)
+    out = u[:, 0].reshape(shape) * sets[idx[..., 0]]
+    for j in range(1, u.shape[1]):
+        out += u[:, j].reshape(shape) * sets[idx[..., j]]
+    return out
+
+
+class OperatorFamily:
+    """Loop coefficients (S, C, D) over an s-interval with frozen ends.
+
+    Between the s-grid points the family is the componentwise not-a-knot
+    cubic spline of its samples at (s_i, theta_j), theta_j = j/N, and
+    outside the grid it is frozen at the end samples.  It is stored as a
+    few basis coefficient sets B_k and per-s weights u_k(s):
+
+        (S, C, D)(s) = sum_k u_k(s) B_k.
+
+    The generator K of the theta-ODE (coefficients.py) is linear in
+    (S, C, D), and so is its spectral midpoint table, so the K tables of
+    every B_k are built once, here, and K(s) = sum_k u_k(s) K(B_k) for
+    any s.  Spline interpolation is linear in the data too, so this is
+    the componentwise spline up to rounding:
+
+    * the table constructor keeps the table rows and their spline node
+      slopes as sets; u(s) holds the cubic Hermite weights of the
+      interval containing s, so each s combines four sets;
+    * from_asymptotes, whose tables are left + w(s_i) (right - left),
+      keeps the two sets (left, right - left) with u(s) = (1, w^(s)),
+      where w^ is the spline of the scalar profile w.
+
+    The sums run term by term in a fixed order with elementwise
+    operations, so an s value's K tables, and its return data, do not
+    depend on the batch it is evaluated in.  At the grid ends u is exact,
+    so the asymptotes are the end samples bit for bit.  Each end's
+    AsymptoticKernel is integrated once, on first use.
     """
 
     def __init__(self, dims: Dimensions, s_grid: np.ndarray, s_table: np.ndarray,
                  c_table: np.ndarray, d_table: np.ndarray, validate: bool = True):
-        self.dims = dims
-        self.s_grid = np.asarray(s_grid, dtype=float)
-        self.s_table = np.asarray(s_table, dtype=float)
-        self.c_table = np.asarray(c_table, dtype=float)
-        self.d_table = np.asarray(d_table, dtype=float)
-        ns = len(self.s_grid)
-        if ns < 8:
-            raise ShapeError("s_grid needs at least 8 points")
-        if np.any(np.diff(self.s_grid) <= 0):
-            raise InvalidInput("s_grid must be strictly increasing")
-        n_theta = self.s_table.shape[1] if self.s_table.ndim > 1 else 0
-        if self.s_table.shape != (ns, n_theta, dims.loop, dims.loop):
-            raise ShapeError("S table shape mismatch")
-        if self.c_table.shape != (ns, n_theta, dims.m, dims.loop):
-            raise ShapeError("C table shape mismatch")
-        if self.d_table.shape != (ns, n_theta, dims.m, dims.m):
-            raise ShapeError("D table shape mismatch")
-        self.n_theta = n_theta
+        s_grid = _checked_s_grid(s_grid)
+        ns = len(s_grid)
+        tables = tuple(np.asarray(t, dtype=float) for t in (s_table, c_table, d_table))
+        n_theta = tables[0].shape[1] if tables[0].ndim > 1 else 0
+        for name, table, block in zip("SCD", tables, ((dims.loop, dims.loop),
+                                                       (dims.m, dims.loop),
+                                                       (dims.m, dims.m))):
+            if table.shape != (ns, n_theta) + block:
+                raise ShapeError(f"{name} table shape mismatch")
         if validate:
-            self._validate()
-        self._spline_s = CubicSpline(self.s_grid, self.s_table, axis=0)
-        self._spline_c = CubicSpline(self.s_grid, self.c_table, axis=0)
-        self._spline_d = CubicSpline(self.s_grid, self.d_table, axis=0)
+            _validate_tables(tables)
+        sets = tuple(np.concatenate([t, _spline_slopes(s_grid, t)]) for t in tables)
 
-    def _validate(self) -> None:
-        for name, arr in (("S", self.s_table), ("D", self.d_table)):
-            if arr.size:
-                dev = float(np.max(np.abs(arr - np.swapaxes(arr, -1, -2))))
-                if dev > 1e-8 * max(1.0, float(np.max(np.abs(arr)))):
-                    raise InvalidInput(f"{name} table asymmetric by {dev:.3e}")
-        edge = max(2, int(np.ceil(EDGE_FRACTION * len(self.s_grid))))
-        for name, arr in (("S", self.s_table), ("C", self.c_table),
-                          ("D", self.d_table)):
-            if not arr.size:
-                continue
-            scale = max(1.0, float(np.max(np.abs(arr))))
-            lo = float(np.max(np.abs(arr[:edge] - arr[0])))
-            hi = float(np.max(np.abs(arr[-edge:] - arr[-1])))
-            if max(lo, hi) > ASYMPTOTE_TOL * scale:
-                raise InvalidInput(
-                    f"{name} not asymptotically constant: edge drift "
-                    f"{max(lo, hi):.3e} exceeds {ASYMPTOTE_TOL:.1e}")
+        def weights(s):
+            i, h = _hermite(s_grid, s)
+            return np.stack([i, ns + i, i + 1, ns + i + 1], axis=1), h
+
+        self._set_basis(dims, s_grid, sets, weights)
+
+    def _set_basis(self, dims: Dimensions, s_grid: np.ndarray, sets, weights) -> None:
+        """Store the basis sets (S, C, D), their K tables and the weight rule.
+
+        weights maps an array of s values to the set indices and weights
+        (idx, u) that _combine takes.
+        """
+        self.dims = dims
+        self.s_grid = s_grid
+        self.n_theta = sets[0].shape[1]
+        self._sets = sets
+        self._weights = weights
+        self._nodes, self._mids = generator_tables(dims, *sets)
 
     @property
     def s_min(self) -> float:
@@ -114,37 +177,40 @@ class OperatorFamily:
         return float(self.s_grid[-1])
 
     def left_asymptote(self) -> OperatorCoefficients:
-        return OperatorCoefficients(self.dims, self.s_table[0], self.c_table[0],
-                                    self.d_table[0])
+        return self.coefficients_at(self.s_min)
 
     def right_asymptote(self) -> OperatorCoefficients:
-        return OperatorCoefficients(self.dims, self.s_table[-1], self.c_table[-1],
-                                    self.d_table[-1])
+        return self.coefficients_at(self.s_max)
+
+    @cached_property
+    def left_kernel(self) -> "AsymptoticKernel":
+        """Kernel of the left asymptote, integrated on first use."""
+        return asymptotic_kernel(self.left_asymptote())
+
+    @cached_property
+    def right_kernel(self) -> "AsymptoticKernel":
+        """Kernel of the right asymptote, integrated on first use."""
+        return asymptotic_kernel(self.right_asymptote())
 
     def coefficients_at(self, s: float) -> OperatorCoefficients:
-        if s <= self.s_min:
-            return self.left_asymptote()
-        if s >= self.s_max:
-            return self.right_asymptote()
-        return OperatorCoefficients(self.dims, self._spline_s(s),
-                                    self._spline_c(s), self._spline_d(s))
-
-    def tables_at(self, s_batch: np.ndarray):
-        s_batch = np.clip(np.asarray(s_batch, dtype=float), self.s_min, self.s_max)
-        return (self._spline_s(s_batch), self._spline_c(s_batch),
-                self._spline_d(s_batch))
+        idx, u = self._weights(np.array([float(s)]))
+        return OperatorCoefficients(self.dims, *(_combine(t, idx, u)[0]
+                                                 for t in self._sets))
 
     def return_data_at(self, s_batch: np.ndarray):
         """(Psi, X, E) at theta = 1 for a batch of s values.
 
-        The batch is tabulated and propagated _S_CHUNK s values at a
-        time, so the K tables of a long scan grid are never all live at
-        once.  An s value's return data does not depend on the chunk it
-        falls in.
+        The batch's K tables are combined from the basis tables and
+        propagated _S_CHUNK s values at a time, so the K tables of a long
+        scan grid are never all live at once.  An s value's return data
+        does not depend on the chunk it falls in.
         """
         s_arr = np.atleast_1d(np.asarray(s_batch, dtype=float))
-        parts = [return_data(self.dims, *self.tables_at(s_arr[i:i + _S_CHUNK]))
-                 for i in range(0, len(s_arr), _S_CHUNK)]
+        parts = []
+        for i in range(0, len(s_arr), _S_CHUNK):
+            idx, u = self._weights(s_arr[i:i + _S_CHUNK])
+            parts.append(return_data(self.dims, _combine(self._nodes, idx, u),
+                                     _combine(self._mids, idx, u)))
         return tuple(np.concatenate(blocks) for blocks in zip(*parts))
 
     def return_path(self) -> SymplecticPath:
@@ -168,20 +234,85 @@ class OperatorFamily:
                         ) -> "OperatorFamily":
         """Monotone interpolation between two frozen asymptotes.
 
-        The default profile (1 + tanh s)/2 is flat to below 1e-9 on the
-        outer 10% of [-s_span, s_span].
+        The family's tables are left + w(s_i) (right - left); they are
+        never built.  The default profile (1 + tanh s)/2 is flat to below
+        1e-9 on the outer 10% of [-s_span, s_span].
         """
         if left.dims != right.dims or left.n_theta != right.n_theta:
             raise InvalidInput("asymptotes must share dimensions and grid")
-        s_grid = np.linspace(-s_span, s_span, s_count)
+        s_grid = _checked_s_grid(np.linspace(-s_span, s_span, s_count))
         w = 0.5 * (1.0 + np.tanh(s_grid)) if profile is None else profile(s_grid)
         w = np.asarray(w, dtype=float)
+        sets = tuple(np.stack([a, b - a]) for a, b in ((left.s, right.s),
+                                                        (left.c, right.c),
+                                                        (left.d, right.d)))
+        _validate_profile(w, sets)
+        slopes = _spline_slopes(s_grid, w)
 
-        def blend(a, b):
-            return a[None] + w[:, None, None, None] * (b - a)[None]
+        def weights(s):
+            i, h = _hermite(s_grid, s)
+            w_s = (h[:, 0] * w[i] + h[:, 1] * slopes[i] + h[:, 2] * w[i + 1]
+                   + h[:, 3] * slopes[i + 1])
+            return np.array([0, 1]), np.stack([np.ones_like(w_s), w_s], axis=1)
 
-        return cls(left.dims, s_grid, blend(left.s, right.s),
-                   blend(left.c, right.c), blend(left.d, right.d))
+        fam = cls.__new__(cls)
+        fam._set_basis(left.dims, s_grid, sets, weights)
+        return fam
+
+
+def _checked_s_grid(s_grid) -> np.ndarray:
+    s_grid = np.asarray(s_grid, dtype=float)
+    if len(s_grid) < 8:
+        raise ShapeError("s_grid needs at least 8 points")
+    if np.any(np.diff(s_grid) <= 0):
+        raise InvalidInput("s_grid must be strictly increasing")
+    return s_grid
+
+
+def _edge_count(ns: int) -> int:
+    return max(2, int(np.ceil(EDGE_FRACTION * ns)))
+
+
+def _check_edge_drift(name: str, drift: float, scale: float) -> None:
+    if drift > ASYMPTOTE_TOL * scale:
+        raise InvalidInput(
+            f"{name} not asymptotically constant: edge drift "
+            f"{drift:.3e} exceeds {ASYMPTOTE_TOL:.1e}")
+
+
+def _validate_tables(tables) -> None:
+    """S and D tables symmetric, every table constant on its outer edges."""
+    for name, arr in (("S", tables[0]), ("D", tables[2])):
+        if arr.size:
+            dev = float(np.max(np.abs(arr - np.swapaxes(arr, -1, -2))))
+            if dev > 1e-8 * max(1.0, float(np.max(np.abs(arr)))):
+                raise InvalidInput(f"{name} table asymmetric by {dev:.3e}")
+    edge = _edge_count(len(tables[0]))
+    for name, arr in zip("SCD", tables):
+        if arr.size:
+            scale = max(1.0, float(np.max(np.abs(arr))))
+            lo = float(np.max(np.abs(arr[:edge] - arr[0])))
+            hi = float(np.max(np.abs(arr[-edge:] - arr[-1])))
+            _check_edge_drift(name, max(lo, hi), scale)
+
+
+def _validate_profile(w: np.ndarray, sets) -> None:
+    """The edge check of _validate_tables for tables a + w(s_i) b.
+
+    Each entry of such a table is affine in w, so its drift over an edge
+    is the profile's drift times |b|, and its largest size is reached at
+    the smallest or the largest w.  The sets come from symmetric
+    OperatorCoefficients, so the tables are symmetric.
+    """
+    edge = _edge_count(len(w))
+    drift = max(float(np.max(np.abs(w[:edge] - w[0]))),
+                float(np.max(np.abs(w[-edge:] - w[-1]))))
+    for name, (a, b) in zip("SCD", sets):
+        if a.size:
+            size = max(float(np.max(np.abs(a + w_end * b)))
+                       for w_end in (w.min(), w.max()))
+            _check_edge_drift(name, drift * float(np.max(np.abs(b))),
+                              max(1.0, size))
 
 
 def random_trig_samples(rng: np.random.Generator, n_theta: int, shape,
@@ -223,17 +354,19 @@ def random_operator_family(dims: Dimensions, seed: int, n_theta: int = 512,
                            max_tries: int = 16) -> OperatorFamily:
     """Seeded family with nondegenerate asymptotes (retrying the draw).
 
-    A drawn asymptote must pass is_nondegenerate at FLOW_TOL_SV, the
-    check spectral_flow_matrix makes; the retry is deterministic in the
+    Both asymptotes of the family must pass is_nondegenerate at
+    FLOW_TOL_SV, the check spectral_flow_matrix makes; the family keeps
+    the kernels it was checked with.  The retry is deterministic in the
     seed.
     """
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         left = random_coefficients(dims, rng, n_theta, degree, alpha)
         right = random_coefficients(dims, rng, n_theta, degree, alpha)
-        if all(is_nondegenerate(asymptotic_kernel(c).element, FLOW_TOL_SV)
-               for c in (left, right)):
-            return OperatorFamily.from_asymptotes(left, right, s_span, s_count)
+        fam = OperatorFamily.from_asymptotes(left, right, s_span, s_count)
+        if (is_nondegenerate(fam.left_kernel.element, FLOW_TOL_SV)
+                and is_nondegenerate(fam.right_kernel.element, FLOW_TOL_SV)):
+            return fam
     raise InvalidInput(f"no nondegenerate asymptote pair found for seed {seed}")
 
 
@@ -368,17 +501,20 @@ def _crossing_block_forms(fam: OperatorFamily, report: CrossingReport,
     return form_blocks, form_reduced
 
 
+def _require_nondegenerate(side: str, kernel: AsymptoticKernel,
+                           tol_sv: float) -> None:
+    if not is_nondegenerate(kernel.element, tol_sv):
+        raise DegenerateAsymptote(
+            f"{side} asymptote is degenerate (kernel dimension "
+            f"{kernel.dimension}, smallest excess eigenphase "
+            f"{endpoint_phase(kernel.element):.3e})")
+
+
 def spectral_flow_matrix(fam: OperatorFamily, tol_sv: float = FLOW_TOL_SV,
                          samples: Optional[int] = None) -> SpectralFlowResult:
     """Spectral flow as the stratified index of the endpoint-matrix path."""
-    for side, coeffs in (("left", fam.left_asymptote()),
-                         ("right", fam.right_asymptote())):
-        kernel = asymptotic_kernel(coeffs)
-        if not is_nondegenerate(kernel.element, tol_sv):
-            raise DegenerateAsymptote(
-                f"{side} asymptote is degenerate (kernel dimension "
-                f"{kernel.dimension}, smallest excess eigenphase "
-                f"{endpoint_phase(kernel.element):.3e})")
+    _require_nondegenerate("left", fam.left_kernel, tol_sv)
+    _require_nondegenerate("right", fam.right_kernel, tol_sv)
     path = fam.return_path()
     family = KernelFamily.dual_slot(fam.dims)
     result = rs_index_stratified(path, family, tol_sv=tol_sv, samples=samples,
@@ -516,14 +652,19 @@ def main_theorem_check(left_pd: PathData, right_pd: PathData,
     """Compare both spectral flows with the endpoint index difference.
 
     The family's frozen ends must reproduce the supplied asymptote paths;
-    the verdict asserts flow = index(right end) - index(left end).
+    an end's own path is the one its kernel was solved on when the step
+    counts agree.  The verdict asserts flow = index(right end) -
+    index(left end).
     """
     from .flows import parametrized_rs_index
 
     repro = 0.0
-    for pd, coeffs in ((left_pd, fam.left_asymptote()),
-                       (right_pd, fam.right_asymptote())):
-        own = path_from_coefficients(coeffs, nsteps=pd.nsteps)
+    for pd, side in ((left_pd, "left"), (right_pd, "right")):
+        if pd.nsteps == fam.n_theta:
+            own = getattr(fam, f"{side}_kernel").path_data
+        else:
+            own = path_from_coefficients(getattr(fam, f"{side}_asymptote")(),
+                                         nsteps=pd.nsteps)
         repro = max(repro,
                     float(np.max(np.abs(own.psi - pd.psi))),
                     float(np.max(np.abs(own.x - pd.x))) if pd.x.size else 0.0,

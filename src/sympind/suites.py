@@ -686,9 +686,8 @@ def suite_main_theorem(seed: int = 0, count: int = 20,
     for i in range(count):
         dims = _FAMILY_DIMS[i % len(_FAMILY_DIMS)]
         fam = random_operator_family(dims, seed=1000 * (seed + 1) + i)
-        left = path_from_coefficients(fam.left_asymptote())
-        right = path_from_coefficients(fam.right_asymptote())
-        report = main_theorem_check(left, right, fam, modes=modes)
+        report = main_theorem_check(fam.left_kernel.path_data,
+                                    fam.right_kernel.path_data, fam, modes=modes)
         dev = max((max(c.block_deviation, c.reduced_deviation)
                    for c in report.flow_matrix.crossings), default=0.0)
         passed = report.ok and dev <= 1e-6

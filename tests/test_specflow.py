@@ -1,19 +1,23 @@
 """Spectral flow by endpoint matrices and by Galerkin truncation."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from sympind import (Dimensions, OperatorFamily, path_from_coefficients,
-                     spectral_flow_galerkin, spectral_flow_matrix)
+                     spectral_flow_galerkin, spectral_flow_matrix, specflow)
+from sympind.cli import main
+from sympind.coefficients import generator_tables, return_data
 from sympind.errors import (DegenerateAsymptote, InvalidInput, ShapeError,
                             TruncationUnstable)
 from sympind.linalg import sym_part
 from sympind.specflow import (asymptotic_kernel, fourier_profiles,
                               galerkin_kernel_dimension, galerkin_matrix,
                               main_theorem_check, random_operator_family,
-                              split_tanh_family)
+                              random_trig_samples, split_tanh_family)
 
 ALPHA = 1.2
 GALERKIN_K = 32
@@ -140,6 +144,22 @@ def test_main_theorem_single_instance():
                for c in report.flow_matrix.crossings)
 
 
+def test_each_asymptote_is_integrated_once_per_family(monkeypatch):
+    # the retry, the reproduction check and spectral_flow_matrix all read
+    # the family's two kernels
+    counts = {"asymptotic_kernel": 0, "path_from_coefficients": 0}
+    for name in counts:
+        def counting(*args, _real=getattr(specflow, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(specflow, name, counting)
+    fam = random_operator_family(Dimensions(1, 1), seed=42, n_theta=256)
+    report = main_theorem_check(fam.left_kernel.path_data,
+                                fam.right_kernel.path_data, fam, modes=16)
+    assert report.ok and report.reproduction_error == 0.0
+    assert counts == {"asymptotic_kernel": 2, "path_from_coefficients": 2}
+
+
 def test_crossing_pair_two_grid_steps_apart():
     # crossings at s = -0.527 and -0.406, 1.9 scan steps apart: the matrix
     # flow must see both and equal the Galerkin flow and the index difference
@@ -196,3 +216,102 @@ def test_family_input_validation():
                        np.zeros((4, 8, dims.loop, dims.loop)),
                        np.zeros((4, 8, dims.m, dims.loop)),
                        np.zeros((4, 8, dims.m, dims.m)))
+
+
+def test_family_construction_stays_in_bounded_memory():
+    # two basis sets, not 161 spline rows: the full S, C and D tables of
+    # the (2, 2) family and their splines take over 100 MiB
+    tracemalloc.start()
+    try:
+        random_operator_family(Dimensions(2, 2), seed=1003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20
+
+
+def _blended_tables(left, right, w):
+    """(S, C, D) tables left + w(s_i) (right - left), as from_asymptotes
+    defines its family."""
+    w = w[:, None, None, None]
+    return [a[None] + w * (b - a)[None]
+            for a, b in ((left.s, right.s), (left.c, right.c), (left.d, right.d))]
+
+
+def _family_tables(fam):
+    return _blended_tables(fam.left_asymptote(), fam.right_asymptote(),
+                           0.5 * (1.0 + np.tanh(fam.s_grid)))
+
+
+def _perturbed_tables(fam, seed, size=0.05):
+    """_family_tables plus a smooth perturbation of full s-rank.
+
+    Row i adds sum_j g(s_i - s_j) R_j with independent random loops R_j
+    and a Gaussian g, damped to below 1e-15 on the outer tenth of the
+    grid so the ends stay frozen.
+    """
+    rng = np.random.default_rng(seed)
+    s = fam.s_grid
+    mix = np.exp(-((s[:, None] - s[None, :]) / 0.5) ** 2)
+    mix *= size * np.exp(-(s / 2.0) ** 2)[:, None]
+    out = []
+    for table, symmetric in zip(_family_tables(fam), (True, False, True)):
+        noise = np.stack([random_trig_samples(rng, fam.n_theta, table.shape[2:],
+                                              symmetric=symmetric) for _ in s])
+        out.append(table + np.tensordot(mix, noise, axes=1))
+    return out
+
+
+def _componentwise_spline_return_data(dims, s_grid, tables, s_vals):
+    """Reference: spline each table in s, build K, propagate."""
+    s_vals = np.clip(s_vals, s_grid[0], s_grid[-1])
+    samples = [CubicSpline(s_grid, t, axis=0)(s_vals) for t in tables]
+    return return_data(dims, *generator_tables(dims, *samples))
+
+
+@pytest.mark.parametrize("seed,dims", [(1001, Dimensions(2, 1)),
+                                       (1003, Dimensions(2, 2))])
+def test_table_family_matches_componentwise_spline(seed, dims):
+    fam = random_operator_family(dims, seed=seed, n_theta=128)
+    tables = _perturbed_tables(fam, seed)
+    table_fam = OperatorFamily(dims, fam.s_grid, *tables)
+    grid = fam.s_grid
+    s_vals = np.concatenate([[grid[0] - 1.0], grid[::16], grid[-1:],
+                             np.linspace(-3.1, 2.9, 13), [grid[-1] + 1.0]])
+    got = table_fam.return_data_at(s_vals)
+    want = _componentwise_spline_return_data(dims, grid, tables, s_vals)
+    for g, w in zip(got, want):
+        assert float(np.max(np.abs(g - w))) <= 1e-12 * float(np.max(np.abs(w)))
+    # the perturbation is visible, and the frozen ends are the end rows
+    plain = fam.return_data_at(s_vals)
+    assert float(np.max(np.abs(plain[0] - got[0]))) > 1e-3
+    np.testing.assert_array_equal(table_fam.left_asymptote().c, tables[1][0])
+    np.testing.assert_array_equal(table_fam.right_asymptote().c, tables[1][-1])
+
+
+def test_spectralflow_cli_reads_dense_family_file(tmp_path, capsys):
+    fam = split_tanh_family(alpha=ALPHA, m=1, n_theta=64)
+    s_table, c_table, d_table = _family_tables(fam)
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({
+        "kind": "dense_family", "n": 1, "m": 1, "s_grid": fam.s_grid.tolist(),
+        "theta_grid": (np.arange(64) / 64).tolist(), "S": s_table.tolist(),
+        "C": c_table.tolist(), "D": d_table.tolist()}))
+    rc = main(["spectralflow", str(path), "--modes", "8", "--json"])
+    assert rc == 0
+    body = json.loads(capsys.readouterr().out)
+    assert body["matrix"] == 1 and body["galerkin"] == 1
+
+
+@pytest.mark.parametrize("build", ["tables", "profile"])
+def test_drifting_ends_are_rejected(build):
+    # a linear profile never freezes: its ends drift by 1e-1 per edge
+    left, right = _anchor_coeffs(-1.0), _anchor_coeffs(1.0)
+    ramp = lambda s: 0.5 + s / 32.0
+    with pytest.raises(InvalidInput, match="asymptotically constant"):
+        if build == "profile":
+            OperatorFamily.from_asymptotes(left, right, profile=ramp)
+        else:
+            s_grid = np.linspace(-16.0, 16.0, 161)
+            OperatorFamily(left.dims, s_grid,
+                           *_blended_tables(left, right, ramp(s_grid)))
