@@ -23,8 +23,17 @@ full order).  The ODE is linear, so one RK4 step is
 
 where the step increment Delta_i is a polynomial in the step's node,
 midpoint and node tables of K.  The increments of a block of steps are
-formed in batched products, and each step then costs one product.  The
-layout of K and W is known to this module alone.  The reverse map
+formed in batched products, and each step then costs one product.
+
+Delta_i has degree 4 in K (see _step_increments).  So for an affine
+generator K0 + w K1 it is a polynomial of degree exactly 4 in the
+scalar w, and AffineIncrements tabulates it once, at 5 Chebyshev nodes
+of an interval holding every w it will be asked for; the increments
+at any w are then a Lagrange combination of the table, and no K table
+is built per w.  That combination runs one stacked product per w: a
+single 2-D product over the batch would round differently with the
+batch size, and a w value's return data must not depend on its batch.
+The layout of K and W is known to this module alone.  The reverse map
 recovers the coefficients from a sampled path by fourth-order finite
 differences:
 
@@ -34,7 +43,7 @@ differences:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -48,6 +57,7 @@ BLOWUP_LIMIT = 1e8
 SYMPLECTIC_LOSS = 1e-6
 _STEP_BLOCK = 64
 _TABLE_BLOCK = 64
+_AFFINE_NODES = 5   # Delta has degree 4 in w
 
 
 def periodic_midpoints(values: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -222,6 +232,19 @@ def generator_tables(dims: Dimensions, s, c, d):
     return nodes, mids
 
 
+def generator_coefficients(dims: Dimensions, k: np.ndarray):
+    """(S, C, D) read back from K; the inverse of generator.
+
+    C and D are copies of K's blocks, and S = -J0 (J0 S) is a signed
+    copy too, so the values are exactly those K was built from.
+    """
+    c, d, j0s, _ = _quarters(dims, k)
+    s = np.empty(j0s.shape)
+    _j0_times(dims, j0s, s)
+    np.negative(s, out=s)
+    return s, c.copy(), d.copy()
+
+
 def _step_increments(dims: Dimensions, k_lo: np.ndarray, k_mid: np.ndarray,
                      k_hi: np.ndarray, h: float) -> np.ndarray:
     """Delta with W[:2n+m] += Delta W[m:] equal to one classical RK4 step.
@@ -254,22 +277,21 @@ def _step_increments(dims: Dimensions, k_lo: np.ndarray, k_mid: np.ndarray,
     return delta
 
 
-def _propagate(dims: Dimensions, nodes: np.ndarray, mids: np.ndarray,
-               keep_nodes: bool = True) -> np.ndarray:
+def _march(dims: Dimensions, increments: Callable[[int, int], np.ndarray],
+           batch: int, nsteps: int, keep_nodes: bool) -> np.ndarray:
     """Classical RK4 for W' = K W over theta in [0, 1], batched.
 
-    nodes (B, N+1, ...) and mids (B, N, ...) are tables of K.  Returns
-    the node trajectory of W, (B, N+1, 2n+2m, 2n+m), or just W(1) when
+    increments(start, stop) returns the step increments Delta of steps
+    start..stop-1, (B, stop - start, 2n+m, 2n+m).  Returns the node
+    trajectory of W, (B, N+1, 2n+2m, 2n+m), or just W(1) when
     keep_nodes is false.
 
-    The steps run in blocks of _STEP_BLOCK: the block's increments are
-    formed at once (_step_increments), then applied one product per
-    step, and |Psi| is checked against BLOWUP_LIMIT after every block,
-    the last partial one included.
+    The steps run in blocks of _STEP_BLOCK: a block's increments are
+    fetched at once, then applied one product per step, and |Psi| is
+    checked against BLOWUP_LIMIT after every block, the last partial one
+    included.
     """
-    batch, nsteps = mids.shape[:2]
     pm, size = dims.m, dims.loop + dims.m
-    h = 1.0 / nsteps
     w = np.zeros((batch, size + pm, size))
     w[:, pm:] = np.eye(size)
     moving, rows, psi = w[:, :size], w[:, pm:], _quarters(dims, w)[2]
@@ -278,9 +300,7 @@ def _propagate(dims: Dimensions, nodes: np.ndarray, mids: np.ndarray,
         ws[:, 0] = w
     for start in range(0, nsteps, _STEP_BLOCK):
         stop = min(start + _STEP_BLOCK, nsteps)
-        deltas = _step_increments(dims, nodes[:, start:stop], mids[:, start:stop],
-                                  nodes[:, start + 1:stop + 1], h)
-        for i, delta in enumerate(np.swapaxes(deltas, 0, 1), start + 1):
+        for i, delta in enumerate(np.swapaxes(increments(start, stop), 0, 1), start + 1):
             moving += delta @ rows
             if keep_nodes:
                 ws[:, i] = w
@@ -289,9 +309,86 @@ def _propagate(dims: Dimensions, nodes: np.ndarray, mids: np.ndarray,
     return ws if keep_nodes else w
 
 
+def _propagate(dims: Dimensions, nodes: np.ndarray, mids: np.ndarray,
+               keep_nodes: bool = True) -> np.ndarray:
+    """_march with increments formed from K tables.
+
+    nodes (B, N+1, ...) and mids (B, N, ...) are tables of K; each block
+    of increments comes from one _step_increments call.
+    """
+    batch, nsteps = mids.shape[:2]
+    h = 1.0 / nsteps
+
+    def increments(start, stop):
+        return _step_increments(dims, nodes[:, start:stop], mids[:, start:stop],
+                                nodes[:, start + 1:stop + 1], h)
+
+    return _march(dims, increments, batch, nsteps, keep_nodes)
+
+
+class AffineIncrements:
+    """The step increments of the generator K0 + w K1, tabulated in w.
+
+    Delta(w) is a polynomial of degree 4 in w (see the module notes), so
+    its values at 5 Chebyshev nodes of the interval [lo, hi] determine
+    it; [lo, hi] should hold every w asked for, where the Lagrange
+    weights stay small.  The table (5, N, 2n+m, 2n+m) is built once,
+    from the K tables nodes (2, N+1, ...) and mids (2, N, ...) of K0
+    and K1.
+    """
+
+    def __init__(self, dims: Dimensions, nodes: np.ndarray, mids: np.ndarray,
+                 lo: float, hi: float):
+        j = np.arange(_AFFINE_NODES)
+        self.w_nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(
+            (2 * j + 1) * np.pi / (2 * _AFFINE_NODES))
+        gaps = self.w_nodes[:, None] - self.w_nodes[None, :]
+        np.fill_diagonal(gaps, 1.0)
+        self._bary = 1.0 / np.prod(gaps, axis=1)
+        scale = self.w_nodes[:, None, None, None]
+        k_nodes = nodes[0] + scale * nodes[1]
+        self.dims = dims
+        self.table = _step_increments(dims, k_nodes[:, :-1], mids[0] + scale * mids[1],
+                                      k_nodes[:, 1:], 1.0 / mids.shape[1])
+
+    def lagrange_weights(self, w: np.ndarray) -> np.ndarray:
+        """(B, 5) weights l_j(w) = bary_j prod_{k != j} (w - w_k), elementwise."""
+        diff = np.asarray(w, dtype=float)[:, None] - self.w_nodes
+        ell = np.empty_like(diff)
+        for j in range(_AFFINE_NODES):
+            ell[:, j] = self._bary[j]
+            for k in range(_AFFINE_NODES):
+                if k != j:
+                    ell[:, j] *= diff[:, k]
+        return ell
+
+    def return_data(self, w: np.ndarray):
+        """(Psi, X, E) at theta = 1 for the generators K0 + w K1, batched.
+
+        Each block of increments is one stacked product of the (1, 5)
+        weight row of each w with the table's block: the rounding of
+        a w's increments depends on that w alone.
+        """
+        ell = self.lagrange_weights(w)[:, None, :]
+        nsteps, shape = self.table.shape[1], self.table.shape[2:]
+
+        def increments(start, stop):
+            block = self.table[:, start:stop].reshape(_AFFINE_NODES, -1)
+            return (ell @ block).reshape((len(ell), stop - start) + shape)
+
+        return _return_blocks(self.dims, _march(self.dims, increments, len(ell),
+                                                nsteps, keep_nodes=False))
+
+
 def _state_blocks(dims: Dimensions, w: np.ndarray):
     """(B, F, Psi, A) of a batch of states, as contiguous arrays."""
     return tuple(np.ascontiguousarray(q) for q in _quarters(dims, w))
+
+
+def _return_blocks(dims: Dimensions, w: np.ndarray):
+    """(Psi, X, E) of a batch of states at theta = 1."""
+    _, f, psi, a = _state_blocks(dims, w)
+    return psi, symplectic_inverse(psi, dims.j_loop()) @ a, sym_part(f)
 
 
 def integrate_path(dims: Dimensions, thetas: np.ndarray, nodes: np.ndarray,
@@ -317,9 +414,7 @@ def integrate_path(dims: Dimensions, thetas: np.ndarray, nodes: np.ndarray,
 
 def return_data(dims: Dimensions, nodes: np.ndarray, mids: np.ndarray):
     """(Psi, X, E) at theta = 1 for K tables batched as (B, N+1, ...), (B, N, ...)."""
-    w = _propagate(dims, nodes, mids, keep_nodes=False)
-    _, f, psi, a = _state_blocks(dims, w)
-    return psi, symplectic_inverse(psi, dims.j_loop()) @ a, sym_part(f)
+    return _return_blocks(dims, _propagate(dims, nodes, mids, keep_nodes=False))
 
 
 def path_from_coefficients(coeffs: OperatorCoefficients,

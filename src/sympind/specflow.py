@@ -26,6 +26,8 @@ linear in the tables, so a family is stored as a few basis coefficient
 sets B_k with their K tables, built once, and per-s weights u_k(s):
 K(s) = sum_k u_k(s) K(B_k), summed term by term in a fixed order, so an
 s value's return data is the same in every batch (see OperatorFamily).
+A family between two asymptotes is affine in one scalar, so its RK4
+step increments are tabulated once and combined per s instead.
 Each end's kernel is integrated once per family and shared by the
 generator's retry, spectral_flow_matrix and main_theorem_check.
 """
@@ -39,7 +41,8 @@ from typing import Callable, List, Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .coefficients import (OperatorCoefficients, PathData, generator_tables,
+from .coefficients import (AffineIncrements, OperatorCoefficients, PathData,
+                           generator_coefficients, generator_tables,
                            path_from_coefficients, return_data)
 from .errors import (DegenerateAsymptote, InvalidInput, ShapeError,
                      TruncationUnstable)
@@ -130,8 +133,18 @@ class OperatorFamily:
     The sums run term by term in a fixed order with elementwise
     operations, so an s value's K tables, and its return data, do not
     depend on the batch it is evaluated in.  At the grid ends u is exact,
-    so the asymptotes are the end samples bit for bit.  Each end's
-    AsymptoticKernel is integrated once, on first use.
+    so the asymptotes are the end samples bit for bit.  Only the node
+    and midpoint K tables of the sets are kept; coefficients_at reads
+    (S, C, D) back from the node tables, exactly.
+
+    An affine family's K(s) = K(left) + w^(s) K(right - left) has RK4
+    step increments of degree 4 in w^ (coefficients.AffineIncrements).
+    They are tabulated once, here, at 5 Chebyshev nodes of an interval
+    holding [0, 1] and the whole range of w^, and return_data_at
+    combines them with each s value's Lagrange weights, one stacked
+    product per s so that the batch does not change the rounding; the
+    affine family keeps no midpoint tables and builds no K tables per s.
+    Each end's AsymptoticKernel is integrated once, on first use.
     """
 
     def __init__(self, dims: Dimensions, s_grid: np.ndarray, s_table: np.ndarray,
@@ -155,18 +168,26 @@ class OperatorFamily:
 
         self._set_basis(dims, s_grid, sets, weights)
 
-    def _set_basis(self, dims: Dimensions, s_grid: np.ndarray, sets, weights) -> None:
-        """Store the basis sets (S, C, D), their K tables and the weight rule.
+    def _set_basis(self, dims: Dimensions, s_grid: np.ndarray, sets, weights,
+                   w_range: Optional[tuple] = None) -> None:
+        """Build the basis sets' K tables; store them and the weight rule.
 
         weights maps an array of s values to the set indices and weights
-        (idx, u) that _combine takes.
+        (idx, u) that _combine takes.  An affine family passes the range
+        (lo, hi) of its w^; its midpoint tables then go into its
+        increment table and are not kept.  The sets themselves are not
+        kept: coefficients_at reads them back from the node tables.
         """
         self.dims = dims
         self.s_grid = s_grid
         self.n_theta = sets[0].shape[1]
-        self._sets = sets
         self._weights = weights
-        self._nodes, self._mids = generator_tables(dims, *sets)
+        self._nodes, mids = generator_tables(dims, *sets)
+        if w_range is None:
+            self._mids, self._increments = mids, None
+        else:
+            self._mids = None
+            self._increments = AffineIncrements(dims, self._nodes, mids, *w_range)
 
     @property
     def s_min(self) -> float:
@@ -193,24 +214,30 @@ class OperatorFamily:
         return asymptotic_kernel(self.right_asymptote())
 
     def coefficients_at(self, s: float) -> OperatorCoefficients:
+        """(S, C, D) at s, read back from the combined K node table."""
         idx, u = self._weights(np.array([float(s)]))
-        return OperatorCoefficients(self.dims, *(_combine(t, idx, u)[0]
-                                                 for t in self._sets))
+        k = _combine(self._nodes, idx, u)[0, :-1]
+        return OperatorCoefficients(self.dims, *generator_coefficients(self.dims, k))
 
     def return_data_at(self, s_batch: np.ndarray):
         """(Psi, X, E) at theta = 1 for a batch of s values.
 
-        The batch's K tables are combined from the basis tables and
-        propagated _S_CHUNK s values at a time, so the K tables of a long
-        scan grid are never all live at once.  An s value's return data
-        does not depend on the chunk it falls in.
+        The batch is propagated _S_CHUNK s values at a time.  An affine
+        family combines each s value's step increments from its table;
+        otherwise the chunk's K tables are combined from the basis
+        tables, so the K tables of a long scan grid are never all live
+        at once.  An s value's return data does not depend on the chunk
+        it falls in.
         """
         s_arr = np.atleast_1d(np.asarray(s_batch, dtype=float))
         parts = []
         for i in range(0, len(s_arr), _S_CHUNK):
             idx, u = self._weights(s_arr[i:i + _S_CHUNK])
-            parts.append(return_data(self.dims, _combine(self._nodes, idx, u),
-                                     _combine(self._mids, idx, u)))
+            if self._increments is not None:
+                parts.append(self._increments.return_data(u[:, 1]))
+            else:
+                parts.append(return_data(self.dims, _combine(self._nodes, idx, u),
+                                         _combine(self._mids, idx, u)))
         return tuple(np.concatenate(blocks) for blocks in zip(*parts))
 
     def return_path(self) -> SymplecticPath:
@@ -248,6 +275,10 @@ class OperatorFamily:
                                                         (left.d, right.d)))
         _validate_profile(w, sets)
         slopes = _spline_slopes(s_grid, w)
+        # each spline piece lies in the hull of its Bezier control points
+        step = np.diff(s_grid)
+        hull = np.concatenate([w, w[:-1] + step * slopes[:-1] / 3.0,
+                               w[1:] - step * slopes[1:] / 3.0])
 
         def weights(s):
             i, h = _hermite(s_grid, s)
@@ -256,7 +287,8 @@ class OperatorFamily:
             return np.array([0, 1]), np.stack([np.ones_like(w_s), w_s], axis=1)
 
         fam = cls.__new__(cls)
-        fam._set_basis(left.dims, s_grid, sets, weights)
+        fam._set_basis(left.dims, s_grid, sets, weights,
+                       (min(0.0, float(hull.min())), max(1.0, float(hull.max()))))
         return fam
 
 

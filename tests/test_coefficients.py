@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from sympind import (Dimensions, OperatorCoefficients, coefficients_from_path,
-                     loop_identity_residuals, path_from_coefficients)
+from sympind import (Dimensions, OperatorCoefficients, OperatorFamily,
+                     coefficients_from_path, loop_identity_residuals,
+                     path_from_coefficients)
 from sympind import coefficients
+from sympind.coefficients import generator_tables
 from sympind.errors import IntegratorBlowup, InvalidInput, ShapeError
 from sympind.specflow import random_coefficients, random_operator_family
 
@@ -168,13 +170,76 @@ def test_step_increments_match_stage_by_stage_rk4(monkeypatch, n, m, n_theta):
 
 
 def test_batched_return_data_matches_stage_by_stage_rk4(monkeypatch):
+    # the family combines tabulated increments; the reference builds each
+    # s value's K tables and runs four RK4 stages per step on them
     fam = random_operator_family(Dimensions(2, 2), seed=1003)
     s_vals = np.array([fam.s_min, -2.5, 0.1, 1.7, fam.s_max])
     got = fam.return_data_at(s_vals)
+    samples = [fam.coefficients_at(s) for s in s_vals]
+    tables = generator_tables(fam.dims, *(np.stack([getattr(c, name) for c in samples])
+                                          for name in "scd"))
     monkeypatch.setattr(coefficients, "_propagate", _stage_by_stage_propagate)
-    want = fam.return_data_at(s_vals)
+    want = coefficients.return_data(fam.dims, *tables)
     for g, w in zip(got, want):
         _assert_relative_close(g, w)
+
+
+def _affine_increments(left, right, lo=0.0, hi=1.0):
+    nodes, mids = generator_tables(left.dims, *(np.stack([a, b - a]) for a, b in (
+        (left.s, right.s), (left.c, right.c), (left.d, right.d))))
+    return nodes, mids, coefficients.AffineIncrements(left.dims, nodes, mids, lo, hi)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 0)])
+def test_affine_increments_are_degree_four_in_w(n, m):
+    # increments formed directly at a sixth w equal the combination of
+    # the five tabulated ones
+    dims = Dimensions(n, m)
+    rng = np.random.default_rng(60 + n + m)
+    left, right = (random_coefficients(dims, rng, n_theta=128) for _ in range(2))
+    nodes, mids, table = _affine_increments(left, right)
+    for w in (0.37, -0.2, 1.3):
+        k_nodes = nodes[0] + w * nodes[1]
+        direct = coefficients._step_increments(dims, k_nodes[:-1], mids[0] + w * mids[1],
+                                               k_nodes[1:], 1.0 / 128)
+        ell = table.lagrange_weights(np.array([w]))[0]
+        _assert_relative_close(np.tensordot(ell, table.table, axes=1), direct)
+
+
+def test_affine_return_data_blowup_is_checked_after_the_last_partial_block():
+    # J0 S = diag(-25, 25) on N = 100: |Psi| passes 1e8 after step 64
+    coeffs = _constant_coeffs(Dimensions(1, 0), [[0.0, 25.0], [25.0, 0.0]],
+                              [], [], n_theta=100)
+    fam = OperatorFamily.from_asymptotes(coeffs, coeffs)
+    with pytest.raises(IntegratorBlowup, match="at step 100"):
+        fam.return_data_at(np.array([0.0]))
+
+
+@pytest.mark.parametrize("case", ["wide_profile", "constant", "frozen_ends"])
+def test_affine_return_data_matches_single_path(case):
+    # the increment table is interpolated inside its node interval for
+    # a profile leaving [0, 1], a family with equal ends, and s beyond
+    # the grid
+    dims = Dimensions(2, 1)
+    rng = np.random.default_rng(71)
+    left, right = (random_coefficients(dims, rng) for _ in range(2))
+    if case == "wide_profile":
+        fam = OperatorFamily.from_asymptotes(left, right,
+                                             profile=lambda s: 1.0 + 2.0 * np.tanh(s))
+        s_vals = np.array([-3.0, -0.4, 0.0, 0.25, 3.0])
+    elif case == "constant":
+        fam = OperatorFamily.from_asymptotes(left, left)
+        s_vals = np.array([fam.s_min, 0.3, fam.s_max])
+    else:
+        fam = OperatorFamily.from_asymptotes(left, right)
+        s_vals = np.array([fam.s_min - 5.0, fam.s_min - 0.5, fam.s_max + 0.5,
+                           fam.s_max + 5.0])
+    psi, x, e = fam.return_data_at(s_vals)
+    for i, s in enumerate(s_vals):
+        el = path_from_coefficients(fam.coefficients_at(s)).endpoint()
+        np.testing.assert_allclose(psi[i], el.psi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x[i], el.x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(e[i], el.e, rtol=0, atol=1e-12)
 
 
 def test_resampling_is_exact_for_band_limited_tables():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from sympind import (Dimensions, OperatorFamily, path_from_coefficients,
+from sympind import (Dimensions, OperatorCoefficients, OperatorFamily,
+                     coefficients, path_from_coefficients,
                      spectral_flow_galerkin, spectral_flow_matrix, specflow)
 from sympind.cli import main
 from sympind.coefficients import generator_tables, return_data
@@ -160,6 +161,25 @@ def test_each_asymptote_is_integrated_once_per_family(monkeypatch):
     assert counts == {"asymptotic_kernel": 2, "path_from_coefficients": 2}
 
 
+def test_affine_increments_are_formed_once_per_family(monkeypatch):
+    # the table is built with the family; a scan grid and a short batch
+    # only combine it
+    calls = []
+
+    def counting(*args, _real=coefficients._step_increments):
+        calls.append(args[1].shape)
+        return _real(*args)
+
+    monkeypatch.setattr(coefficients, "_step_increments", counting)
+    rng = np.random.default_rng(5)
+    left, right = (specflow.random_coefficients(Dimensions(1, 1), rng)
+                   for _ in range(2))
+    fam = OperatorFamily.from_asymptotes(left, right)
+    fam.return_data_at(np.linspace(fam.s_min, fam.s_max, 513))
+    fam.return_data_at(np.array([-1.0, 0.0, 1.0]))
+    assert calls == [(5, 512, 3, 3)]
+
+
 def test_crossing_pair_two_grid_steps_apart():
     # crossings at s = -0.527 and -0.406, 1.9 scan steps apart: the matrix
     # flow must see both and equal the Galerkin flow and the index difference
@@ -287,6 +307,49 @@ def test_table_family_matches_componentwise_spline(seed, dims):
     assert float(np.max(np.abs(plain[0] - got[0]))) > 1e-3
     np.testing.assert_array_equal(table_fam.left_asymptote().c, tables[1][0])
     np.testing.assert_array_equal(table_fam.right_asymptote().c, tables[1][-1])
+
+
+def _combined_sets(fam, sets, s):
+    """(S, C, D) at s as sum_j u_j(s) B_j over the family's basis sets."""
+    idx, u = fam._weights(np.array([float(s)]))
+    return [specflow._combine(b, idx, u)[0] for b in sets]
+
+
+def test_coefficients_are_read_back_exactly_from_the_node_tables():
+    rng = np.random.default_rng(1001)
+    left, right = (specflow.random_coefficients(Dimensions(2, 1), rng, n_theta=64)
+                   for _ in range(2))
+    fam = OperatorFamily.from_asymptotes(left, right)
+    tables = _family_tables(fam)
+    table_fam = OperatorFamily(fam.dims, fam.s_grid, *tables)
+    table_sets = [np.concatenate([t, specflow._spline_slopes(fam.s_grid, t)])
+                  for t in tables]
+    affine_sets = [np.stack([a, b - a]) for a, b in
+                   ((left.s, right.s), (left.c, right.c), (left.d, right.d))]
+    for family, sets in ((table_fam, table_sets), (fam, affine_sets)):
+        for s in (fam.s_min - 1.0, fam.s_min, -2.3, fam.s_grid[70], 0.61, fam.s_max):
+            got = family.coefficients_at(s)
+            want = OperatorCoefficients(fam.dims, *_combined_sets(family, sets, s))
+            for name in "scd":
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    for name, table in zip("scd", tables):
+        np.testing.assert_array_equal(getattr(table_fam.left_asymptote(), name), table[0])
+        np.testing.assert_array_equal(getattr(table_fam.right_asymptote(), name), table[-1])
+
+
+def test_table_family_keeps_only_its_k_tables():
+    # the (2, 2) family on 161 x 512: node and midpoint K tables of the
+    # 322 basis sets take 95 MB; the sets themselves would add 37 MB
+    fam = random_operator_family(Dimensions(2, 2), seed=1003)
+    tables = _family_tables(fam)
+    tracemalloc.start()
+    try:
+        table_fam = OperatorFamily(fam.dims, fam.s_grid, *tables)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table_fam.n_theta == 512
+    assert held < 100 * 2 ** 20
 
 
 def test_spectralflow_cli_reads_dense_family_file(tmp_path, capsys):
