@@ -30,10 +30,9 @@ from .systems import (quadratic_system, radial_system,
                       random_quadratic_system, split_system)
 from .specflow import (AsymptoticKernel, FlowCrossing, MainTheoremReport,
                        OperatorFamily, SpectralFlowResult, asymptotic_kernel,
-                       galerkin_kernel_dimension, galerkin_matrix,
-                       main_theorem_check, random_operator_family,
-                       spectral_flow_galerkin, spectral_flow_matrix,
-                       split_tanh_family)
+                       galerkin_matrix, main_theorem_check,
+                       random_operator_family, spectral_flow_galerkin,
+                       spectral_flow_matrix, split_tanh_family)
 from .rabinowitz import (RabinowitzData, composite_radial_family,
                          composite_radial_path, rabinowitz_block_family,
                          rabinowitz_block_index, rabinowitz_block_path,
@@ -61,7 +60,7 @@ __all__ = [
     "split_system",
     "AsymptoticKernel", "FlowCrossing", "MainTheoremReport",
     "OperatorFamily", "SpectralFlowResult", "asymptotic_kernel",
-    "galerkin_kernel_dimension", "galerkin_matrix", "main_theorem_check",
+    "galerkin_matrix", "main_theorem_check",
     "random_operator_family", "spectral_flow_galerkin",
     "spectral_flow_matrix", "split_tanh_family",
     "RabinowitzData", "composite_radial_family", "composite_radial_path",

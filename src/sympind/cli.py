@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .config import OUTPUT_FORMATS, RunConfig
+from .config import RunConfig
 from .errors import InvalidInput, SympindError
 from .flows import linearized_flow_path, parametrized_rs_index
 from .halfint import HalfInteger
@@ -114,7 +114,8 @@ def _load_path_file(path_file: str, cfg: RunConfig
         _require(data, kind, "lambda", "k1", "k2")
         rd = RabinowitzData(float(data["lambda"]), float(data["k1"]),
                             float(data["k2"]))
-        return rabinowitz_block_path(rd).to_path(), rabinowitz_block_family()
+        return (rabinowitz_block_path(rd, sample_hint=cfg.sample_hint).to_path(),
+                rabinowitz_block_family())
     raise InvalidInput(
         f"unknown path kind {kind!r}; choose from {', '.join(PATH_KINDS)}")
 
@@ -196,10 +197,6 @@ def _cmd_index(args: argparse.Namespace, cfg: RunConfig) -> Tuple[List[str], dic
     kwargs = dict(tol_sv=cfg.tol_sv, tol_eig=cfg.tol_eig)
     if family is not None:
         result = rs_index_stratified(path, family, **kwargs)
-    elif args.stratified:
-        raise InvalidInput(
-            "--stratified needs a path kind with a built-in kernel family "
-            "(exp_shear, snm_samples, rabinowitz)")
     else:
         result = rs_index(path, **kwargs)
     lines, obj = _index_output(result, "index")
@@ -320,9 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_index = sub.add_parser(
         "index", help="index of a path from a JSON path file")
     p_index.add_argument("path_file", help=f"kinds: {', '.join(PATH_KINDS)}")
-    p_index.add_argument("--stratified", action="store_true",
-                         help="index relative to the path's built-in kernel "
-                              "family (implied for subgroup path kinds)")
     p_index.set_defaults(handler=_cmd_index)
 
     p_param = sub.add_parser(

@@ -110,8 +110,7 @@ class OperatorCoefficients:
     Samples live on the uniform grid theta_j = j/N (no duplicate at 1).
     """
 
-    def __init__(self, dims: Dimensions, s: np.ndarray, c: np.ndarray, d: np.ndarray,
-                 tol_sym: float = TOL_SYM):
+    def __init__(self, dims: Dimensions, s: np.ndarray, c: np.ndarray, d: np.ndarray):
         self.dims = dims
         s = np.asarray(s, dtype=float)
         c = np.asarray(c, dtype=float)
@@ -126,7 +125,7 @@ class OperatorCoefficients:
         for name, arr in (("S", s), ("D", d)):
             if arr.size:
                 dev = float(np.max(np.abs(arr - np.swapaxes(arr, -1, -2))))
-                if dev > 100 * tol_sym:
+                if dev > 100 * TOL_SYM:
                     raise InvalidInput(f"{name} samples asymmetric by {dev:.3e}")
         self.s = sym_part(s)
         self.c = c

@@ -147,19 +147,20 @@ def _stage_points(point: CriticalPoint, nsteps: int):
 
 
 def linearized_flow_path(system: HamiltonianSystem, point: CriticalPoint,
-                         nsteps: Optional[int] = None,
-                         check: bool = True, tol: float = TOL_CRIT) -> PathData:
-    """Integrate the linearized return data along the critical loop."""
+                         tol: float = TOL_CRIT) -> PathData:
+    """Integrate the linearized return data along the critical loop.
+
+    The loop must pass check_critical_point at tol; the integration takes
+    max(point.samples, 128) steps.
+    """
     dims = system.dims
-    if check:
-        report = check_critical_point(system, point, tol)
-        if not report.ok:
-            raise InvalidInput(
-                "loop is not a critical point: flow residual "
-                f"{report.flow_residual:.3e}, gradient residual "
-                f"{report.gradient_residual:.3e} (tol {tol:.1e})")
-    if nsteps is None:
-        nsteps = max(point.samples, 128)
+    report = check_critical_point(system, point, tol)
+    if not report.ok:
+        raise InvalidInput(
+            "loop is not a critical point: flow residual "
+            f"{report.flow_residual:.3e}, gradient residual "
+            f"{report.gradient_residual:.3e} (tol {tol:.1e})")
+    nsteps = max(point.samples, 128)
     (node_t, node_g), (mid_t, mid_g) = _stage_points(point, nsteps)
 
     ln, pm = dims.loop, dims.m

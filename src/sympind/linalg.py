@@ -104,10 +104,16 @@ def kernel_basis(m: np.ndarray, tol_sv: float = TOL_SV) -> np.ndarray:
     return vt[rank:].T.copy()
 
 
-def kernel_dimension(m: np.ndarray, tol_sv: float = TOL_SV) -> int:
+def kernel_dimension(m: np.ndarray, tol_sv: float = TOL_SV):
+    """Numerical kernel dimension, with the cut of kernel_basis.
+
+    Batched over leading axes: an int for one matrix, else an integer
+    array of the batch shape.
+    """
     sv = np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
-    cut = tol_sv * max(float(sv[0]) if sv.size else 0.0, 1.0)
-    return int(np.sum(sv <= cut))
+    cut = tol_sv * np.maximum(sv[..., :1], 1.0)
+    count = np.sum(sv <= cut, axis=-1)
+    return int(count) if count.ndim == 0 else count
 
 
 def symplectic_defect(m: np.ndarray, jmat: np.ndarray) -> float:

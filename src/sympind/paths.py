@@ -1,10 +1,15 @@
 """Paths of symplectic matrices and distinguished kernel families.
 
-A SymplecticPath bundles a domain, a vectorized evaluator, an optional
-derivative and the complex structure the path is symplectic for.  All
-index machinery consumes this type.  A KernelFamily is a continuously
-varying subspace of ker(M(t) - I) along a path, used by the stratified
-index; the m dual directions of a subgroup path are the standard one.
+A SymplecticPath bundles a domain, an evaluator, an optional derivative
+and the complex structure the path is symplectic for.  All index
+machinery consumes this type.  A KernelFamily is a continuously varying
+subspace of ker(M(t) - I) along a path, used by the stratified index;
+the m dual directions of a subgroup path are the standard one.
+
+Every evaluator in this module (path values, derivatives, kernel frames,
+subgroup components, conjugators) takes either a scalar t, returning one
+matrix, or a 1-D array of t, returning a stack of matrices along a
+leading axis.
 """
 
 from __future__ import annotations
@@ -16,38 +21,28 @@ from scipy.interpolate import CubicSpline
 
 from . import linalg
 from .errors import (DimensionMismatch, InvalidInput, JunctionMismatch,
-                     NotSymplectic, ShapeError)
-from .linalg import TOL_SYMP, standard_j
+                     ShapeError)
+from .linalg import standard_j
 from .snm import Dimensions, SnmElement, assemble_blocks, assemble_derivative
 
 FD_STEP_FACTOR = 1e-6
 
 
-def _vectorize_matrix_fn(fn: Callable) -> Callable:
-    """Wrap a scalar-argument matrix function so arrays of t work."""
-
-    def wrapped(t):
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return np.asarray(fn(float(t)), dtype=float)
-        return np.stack([np.asarray(fn(float(ti)), dtype=float) for ti in t])
-
-    return wrapped
-
-
 class SymplecticPath:
-    """C^1 path in Sp(2N), evaluated through a vectorized callable."""
+    """C^1 path in Sp(2N).
+
+    evaluate and derivative take a scalar t, returning a (2N, 2N) matrix,
+    or a 1-D array of t, returning a (len(t), 2N, 2N) stack.
+    """
 
     def __init__(self, domain, evaluate: Callable, derivative: Optional[Callable] = None,
-                 jmat: Optional[np.ndarray] = None, sample_hint: int = 512,
-                 vectorized: bool = True):
+                 jmat: Optional[np.ndarray] = None, sample_hint: int = 512):
         a, b = float(domain[0]), float(domain[1])
         if not b > a:
             raise InvalidInput(f"domain must satisfy a < b, got [{a}, {b}]")
         self.domain = (a, b)
-        self._eval = evaluate if vectorized else _vectorize_matrix_fn(evaluate)
-        self._deriv = (None if derivative is None
-                       else (derivative if vectorized else _vectorize_matrix_fn(derivative)))
+        self._eval = evaluate
+        self._deriv = derivative
         m0 = self._eval(a)
         if m0.ndim != 2 or m0.shape[0] != m0.shape[1] or m0.shape[0] % 2:
             raise ShapeError(f"path values must be even-size square matrices, got {m0.shape}")
@@ -92,17 +87,6 @@ class SymplecticPath:
                           + self._eval(tr - 2 * h)) / (2 * h)
         return out[0] if scalar else out
 
-    def grid(self, count: Optional[int] = None) -> np.ndarray:
-        count = self.sample_hint if count is None else count
-        return np.linspace(self.domain[0], self.domain[1], count + 1)
-
-    def check_symplectic(self, ts=None, tol_symp: float = TOL_SYMP) -> float:
-        ts = self.grid(min(self.sample_hint, 64)) if ts is None else ts
-        d = linalg.symplectic_defect(self._eval(ts), self.jmat)
-        if d > tol_symp:
-            raise NotSymplectic(f"path defect {d:.3e} exceeds tol {tol_symp:.1e}")
-        return d
-
     def inverse_at(self, t):
         return linalg.symplectic_inverse(self._eval(t), self.jmat)
 
@@ -115,13 +99,12 @@ class KernelFamily:
     stratified index.
     """
 
-    def __init__(self, evaluate: Callable, dim: int, rank_omega: int,
-                 vectorized: bool = True):
+    def __init__(self, evaluate: Callable, dim: int, rank_omega: int):
         if dim < 0 or rank_omega < 0 or rank_omega > dim or rank_omega % 2:
             raise InvalidInput("rank_omega must be even and within 0..dim")
         self.dim = int(dim)
         self.rank_omega = int(rank_omega)
-        self._eval = evaluate if vectorized else _vectorize_matrix_fn(evaluate)
+        self._eval = evaluate
 
     def __call__(self, t):
         return self._eval(t)
@@ -171,19 +154,12 @@ class SnmPath:
     def __init__(self, dims: Dimensions, psi: Callable, x: Callable, e: Callable,
                  domain=(0.0, 1.0), dpsi: Optional[Callable] = None,
                  dx: Optional[Callable] = None, de: Optional[Callable] = None,
-                 sample_hint: int = 512, vectorized: bool = True):
+                 sample_hint: int = 512):
         self.dims = dims
         self.domain = (float(domain[0]), float(domain[1]))
-        if not vectorized:
-            psi, x, e = (_vectorize_matrix_fn(f) for f in (psi, x, e))
-            if dpsi is not None:
-                dpsi, dx, de = (_vectorize_matrix_fn(f) for f in (dpsi, dx, de))
         self.psi, self.x, self.e = psi, x, e
         self._dpsi, self._dx, self._de = dpsi, dx, de
         self.sample_hint = int(sample_hint)
-
-    def components(self, t):
-        return self.psi(t), self.x(t), self.e(t)
 
     def element(self, t: float) -> SnmElement:
         return SnmElement(self.dims, self.psi(t), self.x(t), self.e(t), validate=False)
@@ -338,14 +314,14 @@ def exp_shear_path(s: np.ndarray, e: np.ndarray, domain=(0.0, 1.0),
         sample_hint=sample_hint)
 
 
-def catenate(p: SymplecticPath, q: SymplecticPath, tol: float = 1e-9) -> SymplecticPath:
+def catenate(p: SymplecticPath, q: SymplecticPath) -> SymplecticPath:
     """Concatenation; q's domain is shifted to start where p ends."""
     if p.size != q.size:
         raise DimensionMismatch("paths have different matrix sizes")
     if np.max(np.abs(p.jmat - q.jmat)) > 0:
         raise DimensionMismatch("paths use different complex structures")
     gap = float(np.max(np.abs(p(p.domain[1]) - q(q.domain[0]))))
-    if gap > tol:
+    if gap > 1e-9:
         raise JunctionMismatch(f"endpoint mismatch {gap:.3e} at the junction")
     a1, b1 = p.domain
     a2, b2 = q.domain
@@ -421,11 +397,8 @@ def snm_direct_sum(a: "SnmPath", b: "SnmPath") -> "SnmPath":
     """
     if a.domain != b.domain:
         raise DimensionMismatch("direct sum requires equal domains")
-    dims, _, _ = snm_interleave_indices(a.dims, b.dims)
-
-    la = np.concatenate([np.arange(a.dims.n), dims.n + np.arange(a.dims.n)])
-    lb = np.concatenate([a.dims.n + np.arange(b.dims.n),
-                         dims.n + a.dims.n + np.arange(b.dims.n)])
+    dims, idx_a, idx_b = snm_interleave_indices(a.dims, b.dims)
+    la, lb = idx_a[:a.dims.loop], idx_b[:b.dims.loop]
 
     def psi(t):
         pa, pb = a.psi(t), b.psi(t)
@@ -455,13 +428,8 @@ def snm_direct_sum(a: "SnmPath", b: "SnmPath") -> "SnmPath":
                    sample_hint=max(a.sample_hint, b.sample_hint))
 
 
-def block_conjugator(dims: Dimensions, phi: Callable, orth: Callable,
-                     vectorized: bool = True) -> Callable:
+def block_conjugator(dims: Dimensions, phi: Callable, orth: Callable) -> Callable:
     """t -> diag(Phi(t), A(t), A(t)) with Phi symplectic, A orthogonal."""
-    if not vectorized:
-        phi = _vectorize_matrix_fn(phi)
-        orth = _vectorize_matrix_fn(orth)
-
     def evaluate(t):
         f = np.asarray(phi(t), dtype=float)
         a = np.asarray(orth(t), dtype=float)
@@ -476,16 +444,13 @@ def block_conjugator(dims: Dimensions, phi: Callable, orth: Callable,
     return evaluate
 
 
-def conjugate(path: SymplecticPath, conjugator: Callable,
-              tol_symp: float = TOL_SYMP) -> SymplecticPath:
+def conjugate(path: SymplecticPath, conjugator: Callable) -> SymplecticPath:
     """t -> P(t) M(t) P(t)^{-1} for a symplectic conjugator path."""
     a, _ = path.domain
     p0 = conjugator(a)
     if p0.shape != (path.size, path.size):
         raise DimensionMismatch("conjugator size does not match path")
-    d = linalg.symplectic_defect(p0, path.jmat)
-    if d > tol_symp:
-        raise NotSymplectic(f"conjugator defect {d:.3e}")
+    linalg.check_symplectic(p0, path.jmat, what="conjugator")
 
     def evaluate(t):
         p = conjugator(t)
@@ -496,16 +461,13 @@ def conjugate(path: SymplecticPath, conjugator: Callable,
                           sample_hint=path.sample_hint)
 
 
-def loop_multiply(path: SymplecticPath, loop: Callable, tol: float = 1e-9,
-                  tol_symp: float = TOL_SYMP) -> SymplecticPath:
+def loop_multiply(path: SymplecticPath, loop: Callable) -> SymplecticPath:
     """t -> P(t) M(t) for a loop P (P(a) = P(b))."""
     a, b = path.domain
     pa, pb = loop(a), loop(b)
-    if float(np.max(np.abs(pa - pb))) > tol:
+    if float(np.max(np.abs(pa - pb))) > 1e-9:
         raise JunctionMismatch("multiplier path is not a loop")
-    d = linalg.symplectic_defect(pa, path.jmat)
-    if d > tol_symp:
-        raise NotSymplectic(f"loop defect {d:.3e}")
+    linalg.check_symplectic(pa, path.jmat, what="loop")
 
     def evaluate(t):
         return loop(t) @ path(t)

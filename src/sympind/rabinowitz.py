@@ -20,7 +20,6 @@ the index of the remaining block, yielding the piecewise formula
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 

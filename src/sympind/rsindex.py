@@ -162,9 +162,8 @@ class _PhaseScan:
                  ts: np.ndarray, ms: np.ndarray):
         self.path, self.floor, self.zero_cut = path, floor, tol_sv
         self.band = tol_sv ** AMBIGUITY_EXPONENT
-        sv = np.linalg.svd(ms[[0, -1]] - np.eye(path.size), compute_uv=False)
-        rel = sv / np.maximum(sv[:, :1], 1.0)
-        excess = np.maximum(np.sum(rel <= tol_sv, axis=-1) - floor, 0)
+        kernel = linalg.kernel_dimension(ms[[0, -1]] - np.eye(path.size), tol_sv)
+        excess = np.maximum(kernel - floor, 0)
         self.ends = {t: int(k) for t, k, at in zip(path.domain, excess, ts[[0, -1]])
                      if at == t}
         self.ts, self.ms = ts, ms

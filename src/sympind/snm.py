@@ -23,8 +23,8 @@ import numpy as np
 from . import linalg
 from .errors import (DimensionMismatch, NegativeStratum, NotInSubgroup,
                      NotSymplectic, ShapeError)
-from .linalg import (TOL_BLOCK, TOL_SV, TOL_SYM, TOL_SYMP, standard_j,
-                     sym_part, symplectic_inverse)
+from .linalg import (TOL_BLOCK, TOL_SV, TOL_SYM, standard_j, sym_part,
+                     symplectic_inverse)
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class SnmElement:
     """One subgroup element (Psi, X, E) with its assembled matrix."""
 
     def __init__(self, dims: Dimensions, psi: np.ndarray, x: np.ndarray, e: np.ndarray,
-                 tol_symp: float = TOL_SYMP, tol_sym: float = TOL_SYM,
                  validate: bool = True):
         self.dims = dims
         psi = np.asarray(psi, dtype=float)
@@ -68,8 +67,8 @@ class SnmElement:
         if psi.shape != (dims.loop, dims.loop):
             raise ShapeError(f"Psi must be {dims.loop}x{dims.loop}, got {psi.shape}")
         if validate:
-            linalg.check_symplectic(psi, dims.j_loop(), tol_symp, "Psi")
-            if dims.m and np.max(np.abs(e - e.T)) > tol_sym:
+            linalg.check_symplectic(psi, dims.j_loop(), what="Psi")
+            if dims.m and np.max(np.abs(e - e.T)) > TOL_SYM:
                 raise NotInSubgroup(f"E asymmetric by {np.max(np.abs(e - e.T)):.3e}")
         self.psi = psi
         self.x = x
@@ -84,9 +83,7 @@ class SnmElement:
         return assemble_blocks(self.dims, self.psi, self.x, self.e)
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, dims: Dimensions,
-                    tol_block: float = TOL_BLOCK, tol_symp: float = TOL_SYMP,
-                    tol_sym: float = TOL_SYM) -> "SnmElement":
+    def from_matrix(cls, m: np.ndarray, dims: Dimensions) -> "SnmElement":
         """Recognize a dense matrix as a subgroup element.
 
         Checks the frozen blocks (zeros and identities), symplecticity
@@ -107,23 +104,22 @@ class SnmElement:
         ]
         for block, want, name in frozen:
             dev = float(np.max(np.abs(block - want))) if block.size else 0.0
-            if dev > tol_block * scale:
+            if dev > TOL_BLOCK * scale:
                 raise ShapeError(f"{name} deviates by {dev:.3e}")
-        linalg.check_symplectic(m, dims.j_ext(), tol_symp, "matrix")
+        linalg.check_symplectic(m, dims.j_ext(), what="matrix")
         psi = m[:ln, :ln]
-        linalg.check_symplectic(psi, dims.j_loop(), tol_symp, "upper-left block")
+        linalg.check_symplectic(psi, dims.j_loop(), what="upper-left block")
         j0 = dims.j_loop()
         x = symplectic_inverse(psi, j0) @ m[:ln, ln:ln + pm]
         bottom = m[ln + pm:, :ln]
-        if bottom.size and np.max(np.abs(bottom - x.T @ j0)) > tol_block * scale:
+        if bottom.size and np.max(np.abs(bottom - x.T @ j0)) > TOL_BLOCK * scale:
             raise NotInSubgroup("lower-left block is not X^T J0 for the recovered X")
         c = m[ln + pm:, ln:ln + pm]
         e_raw = c - 0.5 * (x.T @ j0 @ x)
-        if pm and np.max(np.abs(e_raw - e_raw.T)) > max(tol_sym, tol_block * scale):
+        if pm and np.max(np.abs(e_raw - e_raw.T)) > max(TOL_SYM, TOL_BLOCK * scale):
             raise NotInSubgroup(
                 f"recovered E asymmetric by {np.max(np.abs(e_raw - e_raw.T)):.3e}")
-        return cls(dims, psi, x, sym_part(e_raw) if pm else e_raw,
-                   tol_symp=tol_symp, tol_sym=tol_sym, validate=False)
+        return cls(dims, psi, x, sym_part(e_raw) if pm else e_raw, validate=False)
 
     def inverse(self) -> "SnmElement":
         j0 = self.dims.j_loop()

@@ -47,7 +47,7 @@ from .coefficients import (AffineIncrements, OperatorCoefficients, PathData,
 from .errors import (DegenerateAsymptote, InvalidInput, ShapeError,
                      TruncationUnstable)
 from .halfint import HalfInteger
-from .linalg import TOL_SV, kernel_basis, sym_part, symplectic_inverse
+from .linalg import TOL_SV, inertia, kernel_basis, sym_part, symplectic_inverse
 from .paths import KernelFamily, SymplecticPath
 from .rsindex import (CrossingReport, endpoint_phase, is_nondegenerate,
                       rs_index_stratified)
@@ -148,8 +148,12 @@ class OperatorFamily:
     """
 
     def __init__(self, dims: Dimensions, s_grid: np.ndarray, s_table: np.ndarray,
-                 c_table: np.ndarray, d_table: np.ndarray, validate: bool = True):
-        s_grid = _checked_s_grid(s_grid)
+                 c_table: np.ndarray, d_table: np.ndarray):
+        s_grid = np.asarray(s_grid, dtype=float)
+        if len(s_grid) < 8:
+            raise ShapeError("s_grid needs at least 8 points")
+        if np.any(np.diff(s_grid) <= 0):
+            raise InvalidInput("s_grid must be strictly increasing")
         ns = len(s_grid)
         tables = tuple(np.asarray(t, dtype=float) for t in (s_table, c_table, d_table))
         n_theta = tables[0].shape[1] if tables[0].ndim > 1 else 0
@@ -158,8 +162,7 @@ class OperatorFamily:
                                                        (dims.m, dims.m))):
             if table.shape != (ns, n_theta) + block:
                 raise ShapeError(f"{name} table shape mismatch")
-        if validate:
-            _validate_tables(tables)
+        _validate_tables(tables)
         sets = tuple(np.concatenate([t, _spline_slopes(s_grid, t)]) for t in tables)
 
         def weights(s):
@@ -250,24 +253,22 @@ class OperatorFamily:
             return mats[0] if np.ndim(s) == 0 else mats
 
         return SymplecticPath((self.s_min, self.s_max), evaluate,
-                              jmat=dims.j_ext(), sample_hint=512,
-                              vectorized=True)
+                              jmat=dims.j_ext(), sample_hint=512)
 
     @classmethod
     def from_asymptotes(cls, left: OperatorCoefficients,
                         right: OperatorCoefficients,
-                        s_span: float = S_SPAN, s_count: int = S_COUNT,
                         profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
                         ) -> "OperatorFamily":
         """Monotone interpolation between two frozen asymptotes.
 
         The family's tables are left + w(s_i) (right - left); they are
         never built.  The default profile (1 + tanh s)/2 is flat to below
-        1e-9 on the outer 10% of [-s_span, s_span].
+        1e-9 on the outer 10% of the grid [-S_SPAN, S_SPAN].
         """
         if left.dims != right.dims or left.n_theta != right.n_theta:
             raise InvalidInput("asymptotes must share dimensions and grid")
-        s_grid = _checked_s_grid(np.linspace(-s_span, s_span, s_count))
+        s_grid = np.linspace(-S_SPAN, S_SPAN, S_COUNT)
         w = 0.5 * (1.0 + np.tanh(s_grid)) if profile is None else profile(s_grid)
         w = np.asarray(w, dtype=float)
         sets = tuple(np.stack([a, b - a]) for a, b in ((left.s, right.s),
@@ -290,15 +291,6 @@ class OperatorFamily:
         fam._set_basis(left.dims, s_grid, sets, weights,
                        (min(0.0, float(hull.min())), max(1.0, float(hull.max()))))
         return fam
-
-
-def _checked_s_grid(s_grid) -> np.ndarray:
-    s_grid = np.asarray(s_grid, dtype=float)
-    if len(s_grid) < 8:
-        raise ShapeError("s_grid needs at least 8 points")
-    if np.any(np.diff(s_grid) <= 0):
-        raise InvalidInput("s_grid must be strictly increasing")
-    return s_grid
 
 
 def _edge_count(ns: int) -> int:
@@ -381,21 +373,19 @@ def random_coefficients(dims: Dimensions, rng: np.random.Generator,
 
 
 def random_operator_family(dims: Dimensions, seed: int, n_theta: int = 512,
-                           degree: int = 3, alpha: float = 0.8,
-                           s_span: float = S_SPAN, s_count: int = S_COUNT,
-                           max_tries: int = 16) -> OperatorFamily:
+                           degree: int = 3, alpha: float = 0.8) -> OperatorFamily:
     """Seeded family with nondegenerate asymptotes (retrying the draw).
 
     Both asymptotes of the family must pass is_nondegenerate at
     FLOW_TOL_SV, the check spectral_flow_matrix makes; the family keeps
     the kernels it was checked with.  The retry is deterministic in the
-    seed.
+    seed, with at most 16 draws.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(16):
         left = random_coefficients(dims, rng, n_theta, degree, alpha)
         right = random_coefficients(dims, rng, n_theta, degree, alpha)
-        fam = OperatorFamily.from_asymptotes(left, right, s_span, s_count)
+        fam = OperatorFamily.from_asymptotes(left, right)
         if (is_nondegenerate(fam.left_kernel.element, FLOW_TOL_SV)
                 and is_nondegenerate(fam.right_kernel.element, FLOW_TOL_SV)):
             return fam
@@ -491,8 +481,7 @@ class SpectralFlowResult:
     details: dict = field(default_factory=dict)
 
 
-def _crossing_block_forms(fam: OperatorFamily, report: CrossingReport,
-                          delta: Optional[float] = None):
+def _crossing_block_forms(fam: OperatorFamily, report: CrossingReport):
     """The two displayed quadratic-form matrices at one crossing.
 
     Central finite differences in s of the return data feed both the
@@ -503,8 +492,7 @@ def _crossing_block_forms(fam: OperatorFamily, report: CrossingReport,
     dims = fam.dims
     j0 = dims.j_loop()
     ln, pm = dims.loop, dims.m
-    if delta is None:
-        delta = FD_S_FACTOR * (fam.s_max - fam.s_min)
+    delta = FD_S_FACTOR * (fam.s_max - fam.s_min)
     s = report.t
     psi3, x3, e3 = fam.return_data_at(np.array([s - delta, s, s + delta]))
     psi, x = psi3[1], x3[1]
@@ -542,15 +530,14 @@ def _require_nondegenerate(side: str, kernel: AsymptoticKernel,
             f"{endpoint_phase(kernel.element):.3e})")
 
 
-def spectral_flow_matrix(fam: OperatorFamily, tol_sv: float = FLOW_TOL_SV,
-                         samples: Optional[int] = None) -> SpectralFlowResult:
+def spectral_flow_matrix(fam: OperatorFamily, tol_sv: float = FLOW_TOL_SV
+                         ) -> SpectralFlowResult:
     """Spectral flow as the stratified index of the endpoint-matrix path."""
     _require_nondegenerate("left", fam.left_kernel, tol_sv)
     _require_nondegenerate("right", fam.right_kernel, tol_sv)
     path = fam.return_path()
     family = KernelFamily.dual_slot(fam.dims)
-    result = rs_index_stratified(path, family, tol_sv=tol_sv, samples=samples,
-                                 validate=False)
+    result = rs_index_stratified(path, family, tol_sv=tol_sv, validate=False)
     if not result.value.is_integer():
         raise InvalidInput(
             f"flow came out non-integer ({result.value}) despite "
@@ -617,41 +604,30 @@ def galerkin_matrix(coeffs: OperatorCoefficients, modes: int) -> np.ndarray:
     return sym_part(out)
 
 
-def galerkin_kernel_dimension(coeffs: OperatorCoefficients, modes: int,
-                              threshold: float = 1e-6) -> int:
-    """Count near-zero eigenvalues of the truncated operator."""
-    g = galerkin_matrix(coeffs, modes)
-    w = np.linalg.eigvalsh(g)
-    cut = threshold * max(1.0, float(np.max(np.abs(w))))
-    return int(np.count_nonzero(np.abs(w) <= cut))
-
-
 def _galerkin_negatives(coeffs: OperatorCoefficients, modes: int,
                         tol_eig: float) -> int:
-    g = galerkin_matrix(coeffs, modes)
-    w = np.linalg.eigvalsh(g)
-    guard = tol_eig * max(1.0, float(np.max(np.abs(w))))
-    if float(np.min(np.abs(w))) <= guard:
+    ine = inertia(galerkin_matrix(coeffs, modes), tol_eig)
+    if ine.zero:
         raise TruncationUnstable(
             "near-zero Galerkin eigenvalue at an asymptote; the endpoint "
             "operator must be invertible (raise modes or fix the family)")
-    return int(np.count_nonzero(w < 0))
+    return ine.negative
 
 
 def spectral_flow_galerkin(fam: OperatorFamily, modes: int = GALERKIN_MODES,
-                           gap: int = GALERKIN_GAP,
                            tol_eig: float = GALERKIN_EIG_TOL) -> SpectralFlowResult:
     """Spectral flow as the endpoint inertia difference, checked at two K."""
     left = fam.left_asymptote()
     right = fam.right_asymptote()
+    wide = modes + GALERKIN_GAP
     values = {}
-    for k in (modes, modes + gap):
+    for k in (modes, wide):
         values[k] = (_galerkin_negatives(left, k, tol_eig)
                      - _galerkin_negatives(right, k, tol_eig))
-    if values[modes] != values[modes + gap]:
+    if values[modes] != values[wide]:
         raise TruncationUnstable(
-            f"flow value changed between {modes} and {modes + gap} modes "
-            f"({values[modes]} vs {values[modes + gap]}); raise modes")
+            f"flow value changed between {modes} and {wide} modes "
+            f"({values[modes]} vs {values[wide]}); raise modes")
     return SpectralFlowResult(values[modes], "galerkin",
                               details={"negatives_by_modes": values,
                                        "modes": modes})
@@ -679,7 +655,6 @@ class MainTheoremReport:
 
 def main_theorem_check(left_pd: PathData, right_pd: PathData,
                        fam: OperatorFamily, modes: int = GALERKIN_MODES,
-                       tol_repro: float = 1e-6,
                        tol_sv: float = FLOW_TOL_SV) -> MainTheoremReport:
     """Compare both spectral flows with the endpoint index difference.
 
@@ -701,10 +676,10 @@ def main_theorem_check(left_pd: PathData, right_pd: PathData,
                     float(np.max(np.abs(own.psi - pd.psi))),
                     float(np.max(np.abs(own.x - pd.x))) if pd.x.size else 0.0,
                     float(np.max(np.abs(own.e - pd.e))) if pd.e.size else 0.0)
-    if repro > tol_repro:
+    if repro > 1e-6:
         raise InvalidInput(
             f"family ends do not reproduce the asymptote paths "
-            f"(deviation {repro:.3e} > {tol_repro:.1e})")
+            f"(deviation {repro:.3e} > 1e-6)")
     mu_left = parametrized_rs_index(left_pd).value
     mu_right = parametrized_rs_index(right_pd).value
     flow_m = spectral_flow_matrix(fam, tol_sv=tol_sv)

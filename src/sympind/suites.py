@@ -44,7 +44,7 @@ from .paths import (KernelFamily, SnmPath, SymplecticPath, block_conjugator,
                     exp_shear_path, loop_multiply, snm_direct_sum)
 from .rabinowitz import (RabinowitzData, rabinowitz_block_index,
                          rabinowitz_index)
-from .rsindex import IndexResult, rs_index, rs_index_stratified
+from .rsindex import rs_index, rs_index_stratified, snm_index
 from .snm import Dimensions, SnmElement, reduced_return_matrix
 from .specflow import (GALERKIN_MODES, main_theorem_check,
                        random_coefficients, random_operator_family)
@@ -128,6 +128,29 @@ def _bscale(weight, mat: np.ndarray) -> np.ndarray:
     return w[..., None, None] * mat if w.ndim else float(w) * mat
 
 
+def _exp_product(rng: np.random.Generator, j0: np.ndarray, scale: float):
+    """Random t -> exp(t J0 S1) exp(t^2 J0 S2) and its derivative.
+
+    Draws S1 then S2 from rng, so every caller consumes the stream in
+    the same order.
+    """
+    s1 = random_symmetric(rng, len(j0), scale * (0.5 + rng.random()))
+    s2 = random_symmetric(rng, len(j0), scale * rng.random())
+    g1, g2 = j0 @ s1, j0 @ s2
+    c1, c2 = ExpCurve(g1), ExpCurve(g2)
+
+    def value(t):
+        t = np.asarray(t, dtype=float)
+        return c1(t) @ c2(t * t)
+
+    def deriv(t):
+        t = np.asarray(t, dtype=float)
+        a, b = c1(t), c2(t * t)
+        return g1 @ a @ b + _bscale(2.0 * t, a @ (g2 @ b))
+
+    return value, deriv
+
+
 def random_snm_path(rng: np.random.Generator, dims: Dimensions,
                     scale: float = 0.9, sample_hint: int = 192,
                     domain=(0.0, 1.0)) -> SnmPath:
@@ -139,24 +162,11 @@ def random_snm_path(rng: np.random.Generator, dims: Dimensions,
     derivatives are analytic, so crossing forms need no differencing.
     """
     ln, pm = dims.loop, dims.m
-    j0 = dims.j_loop()
-    s1 = random_symmetric(rng, ln, scale * (0.5 + rng.random()))
-    s2 = random_symmetric(rng, ln, scale * rng.random())
-    g1, g2 = j0 @ s1, j0 @ s2
-    c1, c2 = ExpCurve(g1), ExpCurve(g2)
+    psi, dpsi = _exp_product(rng, dims.j_loop(), scale)
     x1 = rng.standard_normal((ln, pm)) * scale
     x2 = rng.standard_normal((ln, pm)) * (0.5 * scale)
     e1 = random_symmetric(rng, pm, 1.2 * scale)
     e2 = random_symmetric(rng, pm, 0.6 * scale)
-
-    def psi(t):
-        t = np.asarray(t, dtype=float)
-        return c1(t) @ c2(t * t)
-
-    def dpsi(t):
-        t = np.asarray(t, dtype=float)
-        a, b = c1(t), c2(t * t)
-        return g1 @ a @ b + _bscale(2.0 * t, a @ (g2 @ b))
 
     def x(t):
         t = np.asarray(t, dtype=float)
@@ -225,33 +235,18 @@ def random_snm_element(rng: np.random.Generator, dims: Dimensions,
     return SnmElement(dims, psi, x, e, validate=False)
 
 
-def _dual_index(path: SnmPath, samples: Optional[int] = None) -> IndexResult:
-    # validate=True so a degenerate quotient form surfaces as
-    # IrregularCrossing and the instance is redrawn instead of summing a
-    # tolerance-dependent signature.
-    fam = KernelFamily.dual_slot(path.dims)
-    return rs_index_stratified(path.to_path(), fam, samples=samples,
-                               validate=True)
-
-
 def _sp_path(rng: np.random.Generator, n: int, scale: float = 0.9,
              translate: bool = True, sample_hint: int = 192) -> SymplecticPath:
     """Random loop-block path: exp product, optionally with generic start."""
     j0 = Dimensions(n, 0).j_loop()
-    s1 = random_symmetric(rng, 2 * n, scale * (0.5 + rng.random()))
-    s2 = random_symmetric(rng, 2 * n, scale * rng.random())
-    g1, g2 = j0 @ s1, j0 @ s2
-    c1, c2 = ExpCurve(g1), ExpCurve(g2)
+    value, deriv = _exp_product(rng, j0, scale)
     right = random_symplectic(rng, j0, scale) if translate else np.eye(2 * n)
 
     def evaluate(t):
-        t = np.asarray(t, dtype=float)
-        return c1(t) @ c2(t * t) @ right
+        return value(t) @ right
 
     def derivative(t):
-        t = np.asarray(t, dtype=float)
-        a, b = c1(t), c2(t * t)
-        return (g1 @ a @ b + _bscale(2.0 * t, a @ (g2 @ b))) @ right
+        return deriv(t) @ right
 
     return SymplecticPath((0.0, 1.0), evaluate, derivative, jmat=j0,
                           sample_hint=sample_hint)
@@ -265,8 +260,8 @@ def _axiom_catenation(rng: np.random.Generator, dims: Dimensions) -> Tuple[bool,
     if end.stratum() != 0:
         raise _Redraw("junction would be a crossing")
     p2 = snm_right_translate(random_snm_path(rng, dims), end)
-    i1 = _dual_index(p1).value
-    i2 = _dual_index(p2).value
+    i1 = snm_index(p1).value
+    i2 = snm_index(p2).value
     fam = KernelFamily.dual_slot(dims)
     whole = rs_index_stratified(catenate(p1.to_path(), p2.to_path()), fam,
                                 validate=True).value
@@ -281,7 +276,7 @@ def _axiom_naturality(rng: np.random.Generator, dims: Dimensions) -> Tuple[bool,
     conj = block_conjugator(dims, phi_path,
                             lambda t: a_curve(np.asarray(t, dtype=float)))
     fam = KernelFamily.dual_slot(dims)
-    plain = _dual_index(base).value
+    plain = snm_index(base).value
     moved = rs_index_stratified(conjugate(base.to_path(), conj), fam,
                                 validate=True).value
     return moved == plain, f"{moved} == {plain}"
@@ -319,7 +314,7 @@ def _axiom_loop(rng: np.random.Generator, dims: Dimensions) -> Tuple[bool, str]:
     # bracket each one separately.
     mu_pm = rs_index_stratified(product, fam, samples=768,
                                 validate=True).value
-    mu_m = _dual_index(base).value
+    mu_m = snm_index(base).value
     ok = mu_pm - mu_m == HalfInteger(4 * degree)
     return ok, f"{mu_pm} - {mu_m} == 2 * degree {degree}"
 
@@ -329,9 +324,9 @@ def _axiom_product(rng: np.random.Generator, dims: Dimensions) -> Tuple[bool, st
     p1 = random_snm_path(rng, dims)
     p2 = random_snm_path(rng, other)
     total = snm_direct_sum(p1, p2)
-    i1 = _dual_index(p1).value
-    i2 = _dual_index(p2).value
-    i12 = _dual_index(total).value
+    i1 = snm_index(p1).value
+    i2 = snm_index(p2).value
+    i12 = snm_index(total).value
     return i12 == i1 + i2, f"{i12} == {i1} + {i2}"
 
 
@@ -361,7 +356,7 @@ def _axiom_splitting(rng: np.random.Generator, dims: Dimensions) -> Tuple[bool, 
 
     snm = SnmPath(dims, psi_path, xfn, efn, dpsi=psi_path.deriv, dx=xfn,
                   de=defn, sample_hint=192)
-    mu = _dual_index(snm).value
+    mu = snm_index(snm).value
     mu_psi = rs_index(psi_path).value
     shear = HalfInteger(signature(e0 + e1) - signature(e0))
     ok = mu == mu_psi + shear
@@ -373,7 +368,7 @@ def _axiom_signature(rng: np.random.Generator, dims: Dimensions) -> Tuple[bool, 
     e = random_symmetric(rng, dims.m, 0.5 + rng.random())
     if inertia(s).zero or inertia(e).zero:
         raise _Redraw("generator degenerate")
-    mu = _dual_index(exp_shear_path(s, e)).value
+    mu = snm_index(exp_shear_path(s, e)).value
     want = HalfInteger(signature(s) + signature(e))
     return mu == want, f"{mu} == ({signature(s)} + {signature(e)})/2"
 
@@ -416,7 +411,7 @@ def _axiom_integrality(rng: np.random.Generator, dims: Dimensions) -> Tuple[bool
     path = random_snm_path(rng, dims)
     if rng.random() < 0.5:
         path = snm_right_translate(path, random_snm_element(rng, dims))
-    res = _dual_index(path)
+    res = snm_index(path)
     k_a = path.element(path.domain[0]).stratum()
     k_b = path.element(path.domain[1]).stratum()
     ok = (res.value.twice + k_a - k_b) % 2 == 0
@@ -431,7 +426,7 @@ def _axiom_determinant(rng: np.random.Generator, dims: Dimensions) -> Tuple[bool
     det = float(np.linalg.det(reduced_return_matrix(end)))
     if abs(det) < 1e-10:
         raise _Redraw("endpoint determinant too small to sign")
-    mu = _dual_index(path).value
+    mu = snm_index(path).value
     twice_exp = 2 * dims.n + dims.m - mu.twice
     if twice_exp % 2:
         return False, f"exponent 2n+m-2mu = {twice_exp} is odd"
@@ -442,12 +437,12 @@ def _axiom_determinant(rng: np.random.Generator, dims: Dimensions) -> Tuple[bool
 
 def _axiom_involution(rng: np.random.Generator, dims: Dimensions) -> Tuple[bool, str]:
     path = random_snm_path(rng, dims)
-    mu = _dual_index(path).value
-    mu_flip = _dual_index(path.flip_x()).value
-    mu_inv = _dual_index(path.first_inverse_transform()).value
+    mu = snm_index(path).value
+    mu_flip = snm_index(path.flip_x()).value
+    mu_inv = snm_index(path.first_inverse_transform()).value
     ok = mu_flip == mu and mu_inv == -mu
     try:
-        mu_var = _dual_index(path.variant_inverse_transform()).value
+        mu_var = snm_index(path.variant_inverse_transform()).value
         variant = "agrees" if mu_var == -mu else f"differs ({mu_var})"
     except _REDRAW_ERRORS as exc:
         variant = f"unresolved ({type(exc).__name__})"
@@ -555,7 +550,7 @@ def determinant_parity_check() -> SuiteCheck:
     details = []
     ok = True
     for (a, b), residue in (((0.0, 0.0), 1), ((1.0, 1.0), 3)):
-        mu = _dual_index(_hyperbolic_shear_path(a, b)).value
+        mu = snm_index(_hyperbolic_shear_path(a, b)).value
         good = mu.twice % 4 == residue
         ok = ok and good
         details.append(f"(a,b)=({a:g},{b:g}): mu={mu}, class {residue}/2 + 2Z"

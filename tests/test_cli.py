@@ -8,6 +8,7 @@ import pytest
 from sympind.cli import _resolve_config, build_parser, main
 from sympind.flows import linearized_flow_path, parametrized_rs_index
 from sympind.linalg import ExpCurve, standard_j
+from sympind.rsindex import rs_index_stratified
 from sympind.systems import quadratic_system
 
 
@@ -97,11 +98,34 @@ def test_index_rabinowitz_kind(tmp_path, capsys):
 
 
 def test_stratified_flag_needs_family_kind(tmp_path, capsys):
+    # kinds with a built-in family are always indexed relative to it, so
+    # there is no --stratified flag to pass
     f = _write(tmp_path, "const2.json",
                {"kind": "constant", "matrix": [[2.0, 0.0], [0.0, 0.5]]})
-    rc = main(["index", f, "--stratified"])
-    assert rc == 2
-    assert "error[INVALID_INPUT]" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["index", f, "--stratified"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --stratified" in capsys.readouterr().err
+
+
+def test_index_rabinowitz_scans_the_configured_grid(tmp_path, capsys, monkeypatch):
+    import sympind.cli
+
+    seen = []
+
+    def recording(path, family, **kwargs):
+        result = rs_index_stratified(path, family, **kwargs)
+        seen.append(result.samples)
+        return result
+
+    monkeypatch.setattr(sympind.cli, "rs_index_stratified", recording)
+    f = _write(tmp_path, "rab.json",
+               {"kind": "rabinowitz", "lambda": 1.0, "k1": -1.0, "k2": 0.5})
+    cfg = _write(tmp_path, "cfg.json", {"sample_hint": 64})
+    rc = main(["index", f, "--config", cfg])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[0] == "index: 0/2"
+    assert seen == [64]
 
 
 def test_unknown_path_kind(tmp_path, capsys):

@@ -1,0 +1,47 @@
+"""Every top-level import of a package module is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sympind"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module):
+    """Name bound by each top-level import, except __future__ ones."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _used_names(tree: ast.Module) -> set:
+    """Names loaded anywhere, including inside string annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                         if isinstance(n, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_unused_top_level_imports(module):
+    tree = ast.parse(module.read_text(encoding="utf-8"))
+    unused = sorted(set(_imported_names(tree)) - _used_names(tree))
+    assert not unused, f"{module.name} imports but never uses: {', '.join(unused)}"

@@ -55,6 +55,14 @@ def test_kernel_basis_orthonormal_and_annihilated():
     np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-12)
     assert float(np.max(np.abs(m @ basis))) < 1e-10
     assert kernel_dimension(m, tol_sv=1e-10) == 2
+    # SnmElement.stratum hands a single matrix's count on as an int
+    assert type(kernel_dimension(m, tol_sv=1e-10)) is int
+
+    batch = np.stack([m, np.eye(5), np.zeros((5, 5)), m - np.eye(5)])
+    counts = kernel_dimension(batch, tol_sv=1e-10)
+    assert counts.shape == (4,)
+    assert counts.tolist() == [kernel_dimension(b, tol_sv=1e-10) for b in batch]
+    assert counts.tolist()[:3] == [2, 0, 5]
 
 
 def test_symplectic_inverse_vs_solve():
