@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .config import RunConfig
+from .config import RunConfig, load_json_object
 from .errors import InvalidInput, SympindError
 from .flows import linearized_flow_path, parametrized_rs_index
 from .halfint import HalfInteger
@@ -46,19 +46,6 @@ SYSTEM_NAMES = ("split", "rabinowitz_flat", "quadratic")
 
 # --- file ingestion ---------------------------------------------------------
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InvalidInput(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InvalidInput(f"{path} must contain a JSON object")
-    return data
-
-
 def _require(data: dict, kind: str, *keys: str) -> None:
     missing = [k for k in keys if k not in data]
     if missing:
@@ -78,7 +65,7 @@ def _as_array(value, name: str, ndim: Optional[int] = None) -> np.ndarray:
 def _load_path_file(path_file: str, cfg: RunConfig
                     ) -> Tuple[SymplecticPath, Optional[KernelFamily]]:
     """Build (path, built-in kernel family or None) from a path file."""
-    data = _load_json(path_file)
+    data = load_json_object(path_file)
     kind = data.get("kind")
     if kind == "constant":
         _require(data, kind, "matrix")
@@ -121,7 +108,7 @@ def _load_path_file(path_file: str, cfg: RunConfig
 
 
 def _load_family_file(family_file: str, cfg: RunConfig) -> OperatorFamily:
-    data = _load_json(family_file)
+    data = load_json_object(family_file)
     kind = data.get("kind")
     if kind == "dense_family":
         _require(data, kind, "n", "m", "s_grid", "theta_grid", "S", "C", "D")
@@ -223,7 +210,7 @@ def _build_system(name: str, params: dict):
 
 
 def _cmd_paramindex(args: argparse.Namespace, cfg: RunConfig) -> Tuple[List[str], dict, int]:
-    params = _load_json(args.params) if args.params else {}
+    params = load_json_object(args.params) if args.params else {}
     system, point = _build_system(args.system, params)
     pd = linearized_flow_path(system, point, tol=cfg.tol_crit)
     if args.system == "rabinowitz_flat":

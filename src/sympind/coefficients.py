@@ -190,6 +190,23 @@ def _quarters(dims: Dimensions, mat: np.ndarray):
             mat[..., pm:pm + ln, :ln], mat[..., pm:pm + ln, ln:])
 
 
+def carried_block_residuals(pd: PathData):
+    """(|antisym(F) - X^T J0 X / 2|, |B - X^T J0|) as maxima over nodes.
+
+    The carried blocks F and B of W against their exact values; a block
+    the path data lacks, or an empty one (m = 0), gives 0.0.
+    """
+    j0 = pd.dims.j_loop()
+    xt = np.swapaxes(pd.x, -1, -2)
+    twist = dual = 0.0
+    if pd.f_raw is not None and pd.f_raw.size:
+        anti = 0.5 * (pd.f_raw - np.swapaxes(pd.f_raw, -1, -2))
+        twist = float(np.max(np.abs(anti - 0.5 * (xt @ j0 @ pd.x))))
+    if pd.b_raw is not None and pd.b_raw.size:
+        dual = float(np.max(np.abs(pd.b_raw - xt @ j0)))
+    return twist, dual
+
+
 def generator(dims: Dimensions, j0s, j0ct, c, d) -> np.ndarray:
     """K from its blocks J0 S, J0 C^T, C and D; batched over leading axes."""
     k = np.empty(np.shape(j0s)[:-2] + (dims.loop + dims.m,) * 2)
@@ -453,16 +470,8 @@ def loop_identity_residuals(pd: PathData):
     Returns (|antisym(F) - X^T J0 X / 2|, |B - X^T J0|, |C Psi - X'^T J0|)
     as maxima over nodes.
     """
-    dims = pd.dims
-    j0 = dims.j_loop()
-    xt = np.swapaxes(pd.x, -1, -2)
-    r1 = r2 = 0.0
-    if pd.f_raw is not None and pd.f_raw.size:
-        anti = 0.5 * (pd.f_raw - np.swapaxes(pd.f_raw, -1, -2))
-        r1 = float(np.max(np.abs(anti - 0.5 * (xt @ j0 @ pd.x))))
-    if pd.b_raw is not None and pd.b_raw.size:
-        r2 = float(np.max(np.abs(pd.b_raw - xt @ j0)))
+    j0 = pd.dims.j_loop()
     s, c, d = coefficients_from_path(pd)
     dx = fd4(pd.x, pd.theta[1] - pd.theta[0])
-    r3 = float(np.max(np.abs(c @ pd.psi - np.swapaxes(dx, -1, -2) @ j0))) if dims.m else 0.0
-    return r1, r2, r3
+    r3 = float(np.max(np.abs(c @ pd.psi - np.swapaxes(dx, -1, -2) @ j0))) if pd.dims.m else 0.0
+    return carried_block_residuals(pd) + (r3,)

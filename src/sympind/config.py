@@ -12,7 +12,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional
 
 from .errors import InvalidInput
 from .flows import TOL_CRIT
@@ -24,6 +24,26 @@ OUTPUT_FORMATS = ("text", "json")
 
 _TOL_FIELDS = ("tol_sv", "tol_eig", "tol_crit")
 _COUNT_FIELDS = ("sample_hint", "fourier_modes", "seed")
+
+
+def load_json_object(path: str, name: Optional[str] = None) -> dict:
+    """The JSON object in the file at path.
+
+    Raises InvalidInput when the file cannot be read, is not JSON, or
+    holds something other than an object; messages call it name (default
+    the path).
+    """
+    name = path if name is None else name
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {name}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"{name} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidInput(f"{name} must contain a JSON object")
+    return data
 
 
 @dataclass(frozen=True)
@@ -77,14 +97,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InvalidInput(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"config file {path} is not valid JSON: {exc}") from exc
-        return cls.from_mapping(data)
+        return cls.from_mapping(load_json_object(path, f"config file {path}"))
 
     def to_json_obj(self) -> dict:
         return dataclasses.asdict(self)

@@ -28,7 +28,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coefficients import PathData, generator, integrate_path, trig_eval
+from .coefficients import (PathData, carried_block_residuals, generator,
+                           integrate_path, trig_eval)
 from .errors import (DegenerateEndpoint, DimensionMismatch, InvalidInput,
                      ShapeError)
 from .paths import KernelFamily
@@ -220,15 +221,10 @@ def extended_flow_check(pd: PathData, tol: float = 1e-6) -> ExtendedFlowReport:
     if pd.f_raw is None or pd.b_raw is None:
         raise InvalidInput("path data lacks the raw integral blocks; "
                            "integrate it with linearized_flow_path")
-    dims = pd.dims
-    j0 = dims.j_loop()
-    jext = dims.j_ext()
+    jext = pd.dims.j_ext()
     mats = pd.assembled()
     defect = float(np.max(np.abs(np.swapaxes(mats, -1, -2) @ jext @ mats - jext)))
-    xt = np.swapaxes(pd.x, -1, -2)
-    dual = float(np.max(np.abs(pd.b_raw - xt @ j0))) if dims.m else 0.0
-    anti = 0.5 * (pd.f_raw - np.swapaxes(pd.f_raw, -1, -2))
-    twist = float(np.max(np.abs(anti - 0.5 * (xt @ j0 @ pd.x)))) if dims.m else 0.0
+    twist, dual = carried_block_residuals(pd)
     return ExtendedFlowReport(defect, dual, twist, tol)
 
 

@@ -6,10 +6,13 @@ machinery consumes this type.  A KernelFamily is a continuously varying
 subspace of ker(M(t) - I) along a path, used by the stratified index;
 the m dual directions of a subgroup path are the standard one.
 
-Every evaluator in this module (path values, derivatives, kernel frames,
-subgroup components, conjugators) takes either a scalar t, returning one
-matrix, or a 1-D array of t, returning a stack of matrices along a
-leading axis.
+Evaluator callbacks (path values, derivatives, kernel frames, subgroup
+components) take a 1-D float array of t and return the stack of their
+matrices along axis 0.  The objects built from them accept a scalar t as
+well: _at turns it into a one-element array and returns the one matrix,
+so path(t) is path(np.array([t]))[0] bit for bit.  Conjugator and loop
+callables (conjugate, loop_multiply, block_conjugator) are also called
+with the scalar domain ends, so they must take either form.
 """
 
 from __future__ import annotations
@@ -28,11 +31,27 @@ from .snm import Dimensions, SnmElement, assemble_blocks, assemble_derivative
 FD_STEP_FACTOR = 1e-6
 
 
+def _at(fn: Callable, t):
+    """fn at t, for an evaluator fn that maps a 1-D array to a stack.
+
+    A scalar t goes in as a one-element array and its one matrix comes
+    out; an array t goes straight through.
+    """
+    t = np.asarray(t, dtype=float)
+    return fn(t[None])[0] if t.ndim == 0 else fn(t)
+
+
+def constant_stack(mat: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """mat repeated once per entry of the 1-D array t, as a new array."""
+    return np.broadcast_to(mat, t.shape + mat.shape).copy()
+
+
 class SymplecticPath:
     """C^1 path in Sp(2N).
 
-    evaluate and derivative take a scalar t, returning a (2N, 2N) matrix,
-    or a 1-D array of t, returning a (len(t), 2N, 2N) stack.
+    evaluate and derivative take a 1-D array of t and return the
+    (len(t), 2N, 2N) stack of values; the path itself and deriv also take
+    a scalar t and return one (2N, 2N) matrix.
     """
 
     def __init__(self, domain, evaluate: Callable, derivative: Optional[Callable] = None,
@@ -43,7 +62,7 @@ class SymplecticPath:
         self.domain = (a, b)
         self._eval = evaluate
         self._deriv = derivative
-        m0 = self._eval(a)
+        m0 = _at(evaluate, a)
         if m0.ndim != 2 or m0.shape[0] != m0.shape[1] or m0.shape[0] % 2:
             raise ShapeError(f"path values must be even-size square matrices, got {m0.shape}")
         self.size = m0.shape[0]
@@ -55,7 +74,7 @@ class SymplecticPath:
         self.sample_hint = int(sample_hint)
 
     def __call__(self, t):
-        return self._eval(t)
+        return _at(self._eval, t)
 
     def deriv(self, t):
         """Analytic derivative when supplied, else second-order differences.
@@ -63,13 +82,11 @@ class SymplecticPath:
         The step is 1e-6 * (b - a); endpoints use one-sided stencils so no
         evaluation leaves the domain.
         """
-        if self._deriv is not None:
-            return self._deriv(t)
+        return _at(self._fd_deriv if self._deriv is None else self._deriv, t)
+
+    def _fd_deriv(self, ts: np.ndarray) -> np.ndarray:
         a, b = self.domain
         h = FD_STEP_FACTOR * (b - a)
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        ts = np.atleast_1d(t)
         out = np.empty(ts.shape + (self.size, self.size))
         left = ts - h < a
         right = ts + h > b
@@ -85,10 +102,10 @@ class SymplecticPath:
             tr = ts[right]
             out[right] = (3 * self._eval(tr) - 4 * self._eval(tr - h)
                           + self._eval(tr - 2 * h)) / (2 * h)
-        return out[0] if scalar else out
+        return out
 
     def inverse_at(self, t):
-        return linalg.symplectic_inverse(self._eval(t), self.jmat)
+        return linalg.symplectic_inverse(_at(self._eval, t), self.jmat)
 
 
 class KernelFamily:
@@ -107,7 +124,7 @@ class KernelFamily:
         self._eval = evaluate
 
     def __call__(self, t):
-        return self._eval(t)
+        return _at(self._eval, t)
 
     @classmethod
     def constant(cls, basis: np.ndarray, jmat: np.ndarray) -> "KernelFamily":
@@ -119,14 +136,7 @@ class KernelFamily:
         omega = q.T @ jmat.T @ q
         sv = np.linalg.svd(omega, compute_uv=False) if d else np.zeros(0)
         rank = int(np.sum(sv > 1e-10))
-
-        def evaluate(t):
-            t = np.asarray(t, dtype=float)
-            if t.ndim == 0:
-                return q
-            return np.broadcast_to(q, t.shape + q.shape).copy()
-
-        return cls(evaluate, d, rank)
+        return cls(lambda t: constant_stack(q, t), d, rank)
 
     @classmethod
     def dual_slot(cls, dims: Dimensions) -> "KernelFamily":
@@ -162,7 +172,8 @@ class SnmPath:
         self.sample_hint = int(sample_hint)
 
     def element(self, t: float) -> SnmElement:
-        return SnmElement(self.dims, self.psi(t), self.x(t), self.e(t), validate=False)
+        return SnmElement(self.dims, _at(self.psi, t), _at(self.x, t), _at(self.e, t),
+                          validate=False)
 
     def to_path(self) -> SymplecticPath:
         dims = self.dims
@@ -242,21 +253,10 @@ class SnmPath:
 def constant_path(matrix: np.ndarray, domain=(0.0, 1.0), jmat=None,
                   sample_hint: int = 512) -> SymplecticPath:
     matrix = np.asarray(matrix, dtype=float)
-
-    def evaluate(t):
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return matrix
-        return np.broadcast_to(matrix, t.shape + matrix.shape).copy()
-
-    def derivative(t):
-        t = np.asarray(t, dtype=float)
-        z = np.zeros_like(matrix)
-        if t.ndim == 0:
-            return z
-        return np.broadcast_to(z, t.shape + matrix.shape).copy()
-
-    return SymplecticPath(domain, evaluate, derivative, jmat=jmat, sample_hint=sample_hint)
+    zero = np.zeros_like(matrix)
+    return SymplecticPath(domain, lambda t: constant_stack(matrix, t),
+                          lambda t: constant_stack(zero, t), jmat=jmat,
+                          sample_hint=sample_hint)
 
 
 def exp_path(s: np.ndarray, jmat: np.ndarray, phase: Optional[Callable] = None,
@@ -267,8 +267,7 @@ def exp_path(s: np.ndarray, jmat: np.ndarray, phase: Optional[Callable] = None,
     gen = jmat @ s
     curve = linalg.ExpCurve(gen)
     if phase is None:
-        phase = lambda t: np.asarray(t, dtype=float)
-        dphase = lambda t: np.ones_like(np.asarray(t, dtype=float))
+        phase, dphase = (lambda t: t), np.ones_like
 
     def evaluate(t):
         return curve(phase(t))
@@ -276,9 +275,7 @@ def exp_path(s: np.ndarray, jmat: np.ndarray, phase: Optional[Callable] = None,
     derivative = None
     if dphase is not None:
         def derivative(t):
-            m = curve(phase(t))
-            dp = np.asarray(dphase(t), dtype=float)
-            return dp[..., None, None] * (gen @ m) if m.ndim == 3 else float(dp) * (gen @ m)
+            return dphase(t)[:, None, None] * (gen @ curve(phase(t)))
 
     return SymplecticPath(domain, evaluate, derivative, jmat=jmat, sample_hint=sample_hint)
 
@@ -292,25 +289,17 @@ def exp_shear_path(s: np.ndarray, e: np.ndarray, domain=(0.0, 1.0),
         raise ShapeError("S must act on an even-dimensional space")
     dims = Dimensions(s.shape[0] // 2, e.shape[0] if e.ndim == 2 else 0)
     curve = linalg.ExpCurve(dims.j_loop() @ s)
-    gen = dims.j_loop() @ s
     em = e.reshape(dims.m, dims.m)
     zx = np.zeros((dims.loop, dims.m))
-
-    def bshape(t, arr):
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return arr
-        return np.broadcast_to(arr, t.shape + arr.shape).copy()
-
     return SnmPath(
         dims,
-        psi=lambda t: curve(t),
-        x=lambda t: bshape(t, zx),
-        e=lambda t: np.asarray(t, dtype=float)[..., None, None] * em if np.ndim(t) else float(t) * em,
+        psi=curve,
+        x=lambda t: constant_stack(zx, t),
+        e=lambda t: t[:, None, None] * em,
         domain=domain,
-        dpsi=lambda t: gen @ curve(t),
-        dx=lambda t: bshape(t, zx),
-        de=lambda t: bshape(t, em),
+        dpsi=lambda t: curve.generator @ curve(t),
+        dx=lambda t: constant_stack(zx, t),
+        de=lambda t: constant_stack(em, t),
         sample_hint=sample_hint)
 
 
@@ -328,9 +317,6 @@ def catenate(p: SymplecticPath, q: SymplecticPath) -> SymplecticPath:
     cut = b1
 
     def evaluate(t):
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return p(t) if t <= cut else q(a2 + (float(t) - cut))
         out = np.empty(t.shape + (p.size, p.size))
         first = t <= cut
         if np.any(first):
@@ -402,24 +388,21 @@ def snm_direct_sum(a: "SnmPath", b: "SnmPath") -> "SnmPath":
 
     def psi(t):
         pa, pb = a.psi(t), b.psi(t)
-        batch = np.asarray(pa).shape[:-2]
-        out = np.zeros(batch + (dims.loop, dims.loop))
+        out = np.zeros((len(t), dims.loop, dims.loop))
         out[..., la[:, None], la[None, :]] = pa
         out[..., lb[:, None], lb[None, :]] = pb
         return out
 
     def x(t):
         xa, xb = a.x(t), b.x(t)
-        batch = np.asarray(xa).shape[:-2]
-        out = np.zeros(batch + (dims.loop, dims.m))
+        out = np.zeros((len(t), dims.loop, dims.m))
         out[..., la, :a.dims.m] = xa
         out[..., lb, a.dims.m:] = xb
         return out
 
     def e(t):
         ea, eb = a.e(t), b.e(t)
-        batch = np.asarray(ea).shape[:-2]
-        out = np.zeros(batch + (dims.m, dims.m))
+        out = np.zeros((len(t), dims.m, dims.m))
         out[..., :a.dims.m, :a.dims.m] = ea
         out[..., a.dims.m:, a.dims.m:] = eb
         return out
@@ -480,10 +463,10 @@ def reverse(path: SymplecticPath) -> SymplecticPath:
     a, b = path.domain
 
     def evaluate(t):
-        return path(a + b - np.asarray(t, dtype=float))
+        return path(a + b - t)
 
     def derivative(t):
-        return -path.deriv(a + b - np.asarray(t, dtype=float))
+        return -path.deriv(a + b - t)
 
     return SymplecticPath((a, b), evaluate, derivative, jmat=path.jmat,
                           sample_hint=path.sample_hint)

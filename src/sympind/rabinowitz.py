@@ -65,40 +65,31 @@ def rabinowitz_block_path(data: RabinowitzData,
     a_val = data.coupling
 
     def psi(t):
-        t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape + (2, 2))
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = 1.0
-        out[..., 1, 0] = t_val * t
+        out[:, 0, 0] = 1.0
+        out[:, 1, 1] = 1.0
+        out[:, 1, 0] = t_val * t
         return out
 
     def x(t):
-        t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape + (2, 1))
-        out[..., 1, 0] = a_val * t
+        out[:, 1, 0] = a_val * t
         return out
 
-    def e(t):
-        t = np.asarray(t, dtype=float)
+    def zeros(t):
         return np.zeros(t.shape + (1, 1))
 
     def dpsi(t):
-        t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape + (2, 2))
-        out[..., 1, 0] = t_val
+        out[:, 1, 0] = t_val
         return out
 
     def dx(t):
-        t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape + (2, 1))
-        out[..., 1, 0] = a_val
+        out[:, 1, 0] = a_val
         return out
 
-    def de(t):
-        t = np.asarray(t, dtype=float)
-        return np.zeros(t.shape + (1, 1))
-
-    return SnmPath(dims, psi, x, e, dpsi=dpsi, dx=dx, de=de,
+    return SnmPath(dims, psi, x, zeros, dpsi=dpsi, dx=dx, de=zeros,
                    sample_hint=sample_hint)
 
 

@@ -42,7 +42,7 @@ from .errors import (ContainmentError, InvalidInput, IrregularCrossing,
                      UnresolvedCrossing)
 from .halfint import HalfInteger
 from .linalg import TOL_EIG, TOL_SV, inertia, kernel_basis, sym_part
-from .paths import KernelFamily, SymplecticPath
+from .paths import KernelFamily, SymplecticPath, constant_stack
 from .snm import SnmElement
 
 SYMPLECTIC_LOSS = 1e-6
@@ -507,15 +507,10 @@ def perturb_stratified(path: SymplecticPath, family: KernelFamily,
     eye = np.eye(path.size)
 
     def factor(t):
-        t = np.asarray(t, dtype=float)
         beta = eps * np.sin(math.pi * (t - a) / (b - a))
         basis = family(t)
-        scalar = t.ndim == 0
-        if scalar:
-            basis = basis[None]
-            beta = np.atleast_1d(beta)
         u1, u0 = _split_family_frames(basis, omega, r)
-        out = np.broadcast_to(eye, basis.shape[:-2] + eye.shape).copy()
+        out = constant_stack(eye, t)
         if d - r:
             shear = jmat @ u0 @ np.swapaxes(u0, -1, -2)
             out = out + beta[..., None, None] * shear
@@ -526,9 +521,9 @@ def perturb_stratified(path: SymplecticPath, family: KernelFamily,
             rot = (np.cos(beta)[..., None, None] * np.eye(r)
                    + np.sin(beta)[..., None, None] * jrot)
             w1_inv = np.swapaxes(vv, -1, -2) @ ((1.0 / ss)[..., None] * np.swapaxes(uu, -1, -2))
-            out = out @ (np.broadcast_to(eye, out.shape).copy()
+            out = out @ (constant_stack(eye, t)
                          + u1 @ (rot - np.eye(r)) @ w1_inv @ np.swapaxes(u1, -1, -2) @ omega)
-        return out[0] if scalar else out
+        return out
 
     def evaluate(t):
         return path(t) @ factor(t)

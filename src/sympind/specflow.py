@@ -248,9 +248,7 @@ class OperatorFamily:
         dims = self.dims
 
         def evaluate(s):
-            psi, x, e = self.return_data_at(s)
-            mats = assemble_blocks(dims, psi, x, e)
-            return mats[0] if np.ndim(s) == 0 else mats
+            return assemble_blocks(dims, *self.return_data_at(s))
 
         return SymplecticPath((self.s_min, self.s_max), evaluate,
                               jmat=dims.j_ext(), sample_hint=512)
@@ -424,16 +422,9 @@ class AsymptoticKernel:
     def loops(self, thetas: np.ndarray) -> np.ndarray:
         """Kernel loops zeta(theta) = Psi (zeta_0 + X ell), one per column."""
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        dims = self.path_data.dims
         snm = self.path_data.to_snm_path()
-        out = np.empty((len(thetas), dims.loop, self.dimension))
-        for i, t in enumerate(thetas):
-            psi = snm.psi(t)
-            x = snm.x(t)
-            z0 = self.vectors[:dims.loop]
-            ell = self.vectors[dims.loop:]
-            out[i] = psi @ (z0 + x @ ell)
-        return out
+        z0, ell = np.split(self.vectors, [self.path_data.dims.loop])
+        return snm.psi(thetas) @ (z0 + snm.x(thetas) @ ell)
 
 
 def asymptotic_kernel(coeffs: OperatorCoefficients,

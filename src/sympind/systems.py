@@ -35,34 +35,15 @@ def _check_symmetric(name: str, a: np.ndarray, size: int) -> np.ndarray:
 
 def split_system(k_block: np.ndarray, f_block: np.ndarray,
                  samples: int = 256) -> Tuple[HamiltonianSystem, CriticalPoint]:
-    """Uncoupled quadratic system H = x^T K x / 2 + lam^T F lam / 2."""
-    k_block = np.asarray(k_block, dtype=float)
-    loop = k_block.shape[0]
-    if loop % 2:
-        raise ShapeError("K must act on an even-dimensional loop space")
-    n = loop // 2
-    f_block = np.asarray(f_block, dtype=float)
-    if f_block.ndim == 0:
-        f_block = f_block.reshape(1, 1)
-    m = f_block.shape[0]
-    dims = Dimensions(n, m)
-    kb = _check_symmetric("K", k_block, loop)
-    fb = _check_symmetric("F", f_block.reshape(m, m), m)
-    j0 = standard_j(n)
-    jk = -j0 @ kb
-    zl = np.zeros((loop, m))
-    zm = np.zeros((m, loop + m))
-    zm[:, loop:] = fb
+    """Uncoupled quadratic system H = x^T K x / 2 + lam^T F lam / 2.
 
-    sys = HamiltonianSystem(
-        dims,
-        vector_field=lambda t, x, lam: jk @ x,
-        jac_x=lambda t, x, lam: jk,
-        jac_lam=lambda t, x, lam: zl,
-        grad_lam=lambda t, x, lam: fb @ lam,
-        hess_mixed=lambda t, x, lam: zm,
-        label="split")
-    point = CriticalPoint(np.zeros((samples, loop)), np.zeros(m))
+    quadratic_system with G = 0; a scalar F is the 1 x 1 block.
+    """
+    k_block = np.asarray(k_block, dtype=float)
+    f_block = np.atleast_2d(np.asarray(f_block, dtype=float))
+    sys, point = quadratic_system(k_block, np.zeros((f_block.shape[0], k_block.shape[0])),
+                                  f_block, samples=samples)
+    sys.label = "split"
     return sys, point
 
 

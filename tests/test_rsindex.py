@@ -18,8 +18,7 @@ TWO_PI = 2.0 * np.pi
 
 def _rotation(rate, offset=0.0):
     return exp_path(EYE2, J2, phase=lambda t: offset + rate * t,
-                    dphase=lambda t: np.full(np.shape(t), rate, dtype=float)
-                    if np.ndim(t) else rate)
+                    dphase=lambda t: np.full_like(t, rate))
 
 
 @pytest.mark.parametrize("svals,eval_", [
