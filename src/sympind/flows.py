@@ -4,7 +4,11 @@ A system supplies the vector field of H(theta, x, lam) on R^{2n} x R^m
 together with its first derivatives in x and lam, the gradient of H in
 lam, and the mixed Hessian of that gradient.  Sign conventions follow
 the standard structure J0: the field is X_H = -J0 grad_x H, so the
-linearization Dx X_H equals J0 S with S = -Hess_x H symmetric.
+linearization Dx X_H equals J0 S with S = -Hess_x H symmetric.  Every
+callback is evaluated on a whole grid of loop times in one call: it takes
+a 1-D array of B times, the (B, 2n) loop points and the (m,) parameter
+vector, and returns its values stacked along axis 0 (HamiltonianSystem
+lists the shapes).
 
 Around a critical point (a loop gamma with matching parameter vector)
 the linearized return data (Psi, X, E) solves the linear ODE of
@@ -32,6 +36,7 @@ from .coefficients import (PathData, carried_block_residuals, generator,
                            integrate_path, trig_eval)
 from .errors import (DegenerateEndpoint, DimensionMismatch, InvalidInput,
                      ShapeError)
+from .linalg import TOL_SV
 from .paths import KernelFamily
 from .rsindex import (IndexResult, endpoint_phase, is_nondegenerate,
                       rs_index_stratified)
@@ -40,24 +45,43 @@ from .snm import Dimensions
 TOL_CRIT = 1e-6
 
 
+SystemCallback = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
 @dataclass
 class HamiltonianSystem:
     """Callable bundle describing H(theta, x, lam) through its derivatives.
 
-    vector_field: (theta, x, lam) -> (2n,)        the field -J0 grad_x H
-    jac_x:        (theta, x, lam) -> (2n, 2n)     d(vector_field)/dx
-    jac_lam:      (theta, x, lam) -> (2n, m)      d(vector_field)/dlam
-    grad_lam:     (theta, x, lam) -> (m,)         d H / d lam
-    hess_mixed:   (theta, x, lam) -> (m, 2n + m)  d(grad_lam)/d(x, lam)
+    Each callback takes (theta, x, lam): theta a 1-D array of B loop times,
+    x the (B, 2n) loop points and lam the (m,) parameter vector.  It
+    returns one value per time, stacked along axis 0:
+
+    vector_field: (B, 2n)           the field -J0 grad_x H
+    jac_x:        (B, 2n, 2n)       d(vector_field)/dx
+    jac_lam:      (B, 2n, m)        d(vector_field)/dlam
+    grad_lam:     (B, m)            d H / d lam
+    hess_mixed:   (B, m, 2n + m)    d(grad_lam)/d(x, lam)
     """
 
     dims: Dimensions
-    vector_field: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    jac_x: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    jac_lam: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    grad_lam: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    hess_mixed: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    label: str = "system"
+    vector_field: SystemCallback
+    jac_x: SystemCallback
+    jac_lam: SystemCallback
+    grad_lam: SystemCallback
+    hess_mixed: SystemCallback
+
+
+def _evaluate(system: HamiltonianSystem, name: str, thetas: np.ndarray,
+              xs: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """One callback on the loop grid, with the shape of its stack checked."""
+    ln, m = system.dims.loop, system.dims.m
+    tail = {"vector_field": (ln,), "jac_x": (ln, ln), "jac_lam": (ln, m),
+            "grad_lam": (m,), "hess_mixed": (m, ln + m)}[name]
+    out = getattr(system, name)(thetas, xs, lam)
+    want = (len(thetas),) + tail
+    if np.shape(out) != want:
+        raise ShapeError(f"{name} returned shape {np.shape(out)}, expected {want}")
+    return out
 
 
 @dataclass
@@ -129,22 +153,11 @@ def check_critical_point(system: HamiltonianSystem, point: CriticalPoint,
     if point.gamma.shape[1] != dims.loop or point.lam.shape != (dims.m,):
         raise DimensionMismatch("critical point does not match system dimensions")
     thetas = np.arange(point.samples) / point.samples
-    vel = point.velocity_at_nodes()
-    flow_res = 0.0
-    grad_sum = np.zeros(dims.m)
-    for j, t in enumerate(thetas):
-        fx = np.asarray(system.vector_field(t, point.gamma[j], point.lam), dtype=float)
-        flow_res = max(flow_res, float(np.max(np.abs(vel[j] - fx))))
-        grad_sum += np.asarray(system.grad_lam(t, point.gamma[j], point.lam), dtype=float)
-    grad_res = float(np.max(np.abs(grad_sum / point.samples))) if dims.m else 0.0
+    fx = _evaluate(system, "vector_field", thetas, point.gamma, point.lam)
+    grad = _evaluate(system, "grad_lam", thetas, point.gamma, point.lam)
+    flow_res = float(np.max(np.abs(point.velocity_at_nodes() - fx)))
+    grad_res = float(np.max(np.abs(grad.mean(axis=0)))) if dims.m else 0.0
     return CriticalPointReport(flow_res, grad_res, tol)
-
-
-def _stage_points(point: CriticalPoint, nsteps: int):
-    """Loop values at integration nodes (wrapped) and midpoints."""
-    node_t = np.arange(nsteps + 1) / nsteps
-    mid_t = (np.arange(nsteps) + 0.5) / nsteps
-    return (node_t, point.gamma_at(node_t)), (mid_t, point.gamma_at(mid_t))
 
 
 def linearized_flow_path(system: HamiltonianSystem, point: CriticalPoint,
@@ -162,28 +175,18 @@ def linearized_flow_path(system: HamiltonianSystem, point: CriticalPoint,
             f"{report.flow_residual:.3e}, gradient residual "
             f"{report.gradient_residual:.3e} (tol {tol:.1e})")
     nsteps = max(point.samples, 128)
-    (node_t, node_g), (mid_t, mid_g) = _stage_points(point, nsteps)
+    node_t = np.arange(nsteps + 1) / nsteps
 
-    ln, pm = dims.loop, dims.m
+    def sample(ts):
+        """Callback stacks on a grid of loop times; hess_mixed split in x, lam."""
+        gs = point.gamma_at(ts)
+        jx = _evaluate(system, "jac_x", ts, gs, point.lam)
+        jl = _evaluate(system, "jac_lam", ts, gs, point.lam)
+        hm = _evaluate(system, "hess_mixed", ts, gs, point.lam)
+        return jx, jl, hm[:, :, :dims.loop], hm[:, :, dims.loop:]
 
-    def sample(ts, gs):
-        count = len(ts)
-        jx = np.empty((count, ln, ln))
-        jl = np.empty((count, ln, pm))
-        hx = np.empty((count, pm, ln))
-        hl = np.empty((count, pm, pm))
-        for i, (t, g) in enumerate(zip(ts, gs)):
-            jx[i] = np.asarray(system.jac_x(t, g, point.lam), dtype=float)
-            jl[i] = np.asarray(system.jac_lam(t, g, point.lam),
-                               dtype=float).reshape(ln, pm)
-            hm = np.asarray(system.hess_mixed(t, g, point.lam),
-                            dtype=float).reshape(pm, ln + pm)
-            hx[i] = hm[:, :ln]
-            hl[i] = hm[:, ln:]
-        return jx, jl, hx, hl
-
-    jx_n, jl_n, hx_n, hl_n = sample(node_t, node_g)
-    jx_m, jl_m, hx_m, hl_m = sample(mid_t, mid_g)
+    jx_n, jl_n, hx_n, hl_n = sample(node_t)
+    jx_m, jl_m, hx_m, hl_m = sample((np.arange(nsteps) + 0.5) / nsteps)
 
     j0 = dims.j_loop()
     stacked = j0 @ np.concatenate([jx_n, jx_m])
@@ -210,7 +213,7 @@ class ExtendedFlowReport:
                    self.twist_block_residual) <= self.tol
 
 
-def extended_flow_check(pd: PathData, tol: float = 1e-6) -> ExtendedFlowReport:
+def extended_flow_check(pd: PathData) -> ExtendedFlowReport:
     """Certify that the sampled path assembles to a flow differential.
 
     Uses the independently integrated blocks carried by the path data:
@@ -225,10 +228,10 @@ def extended_flow_check(pd: PathData, tol: float = 1e-6) -> ExtendedFlowReport:
     mats = pd.assembled()
     defect = float(np.max(np.abs(np.swapaxes(mats, -1, -2) @ jext @ mats - jext)))
     twist, dual = carried_block_residuals(pd)
-    return ExtendedFlowReport(defect, dual, twist, tol)
+    return ExtendedFlowReport(defect, dual, twist, 1e-6)
 
 
-def parametrized_rs_index(pd: PathData, tol_sv: Optional[float] = None,
+def parametrized_rs_index(pd: PathData, tol_sv: float = TOL_SV,
                           sample_hint: Optional[int] = None) -> IndexResult:
     """Index of the linearized return path with the dual-slot family.
 
@@ -236,16 +239,15 @@ def parametrized_rs_index(pd: PathData, tol_sv: Optional[float] = None,
     the extended return matrix may contain nothing beyond the structural
     dual directions, with the margin find_crossings needs.
     """
-    kwargs = {} if tol_sv is None else {"tol_sv": tol_sv}
     el = pd.endpoint()
-    if not is_nondegenerate(el, **kwargs):
+    if not is_nondegenerate(el, tol_sv):
         raise DegenerateEndpoint(
             "return map is degenerate at theta = 1 (smallest excess "
             f"eigenphase {endpoint_phase(el):.3e})")
     snm = pd.to_snm_path(sample_hint=sample_hint)
     path = snm.to_path()
     family = KernelFamily.dual_slot(pd.dims)
-    return rs_index_stratified(path, family, validate=False, **kwargs)
+    return rs_index_stratified(path, family, tol_sv, validate=False)
 
 
 def transform_system(system: HamiltonianSystem, phi: np.ndarray,
@@ -268,27 +270,24 @@ def transform_system(system: HamiltonianSystem, phi: np.ndarray,
     phi_inv = np.linalg.solve(phi, np.eye(dims.loop))
 
     def vf(t, x, lam):
-        return phi_inv @ system.vector_field(t, phi @ x, rot @ lam)
+        return system.vector_field(t, x @ phi.T, rot @ lam) @ phi_inv.T
 
     def jx(t, x, lam):
-        return phi_inv @ system.jac_x(t, phi @ x, rot @ lam) @ phi
+        return phi_inv @ system.jac_x(t, x @ phi.T, rot @ lam) @ phi
 
     def jl(t, x, lam):
-        return phi_inv @ np.asarray(system.jac_lam(t, phi @ x, rot @ lam)).reshape(
-            dims.loop, dims.m) @ rot
+        return phi_inv @ system.jac_lam(t, x @ phi.T, rot @ lam) @ rot
 
     def gl(t, x, lam):
-        return rot.T @ np.asarray(system.grad_lam(t, phi @ x, rot @ lam)).reshape(dims.m)
+        return system.grad_lam(t, x @ phi.T, rot @ lam) @ rot
 
     def hm(t, x, lam):
-        h = np.asarray(system.hess_mixed(t, phi @ x, rot @ lam)).reshape(
-            dims.m, dims.loop + dims.m)
-        left = rot.T @ h[:, :dims.loop] @ phi
-        right = rot.T @ h[:, dims.loop:] @ rot
-        return np.concatenate([left, right], axis=1)
+        h = system.hess_mixed(t, x @ phi.T, rot @ lam)
+        left = rot.T @ h[:, :, :dims.loop] @ phi
+        right = rot.T @ h[:, :, dims.loop:] @ rot
+        return np.concatenate([left, right], axis=2)
 
-    return HamiltonianSystem(dims, vf, jx, jl, gl, hm,
-                             label=system.label + "+transformed")
+    return HamiltonianSystem(dims, vf, jx, jl, gl, hm)
 
 
 def transform_point(point: CriticalPoint, phi: np.ndarray,

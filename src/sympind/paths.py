@@ -26,7 +26,8 @@ from . import linalg
 from .errors import (DimensionMismatch, InvalidInput, JunctionMismatch,
                      ShapeError)
 from .linalg import standard_j
-from .snm import Dimensions, SnmElement, assemble_blocks, assemble_derivative
+from .snm import (Dimensions, SnmElement, assemble_blocks, assemble_derivative,
+                  dual_slot_basis)
 
 FD_STEP_FACTOR = 1e-6
 
@@ -140,8 +141,6 @@ class KernelFamily:
 
     @classmethod
     def dual_slot(cls, dims: Dimensions) -> "KernelFamily":
-        from .snm import dual_slot_basis
-
         return cls.constant(dual_slot_basis(dims), dims.j_ext())
 
     @classmethod

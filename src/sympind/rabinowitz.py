@@ -26,7 +26,8 @@ import numpy as np
 from .errors import InvalidInput
 from .halfint import HalfInteger
 from .linalg import TOL_SV
-from .paths import KernelFamily, SnmPath, snm_direct_sum
+from .paths import (KernelFamily, SnmPath, snm_direct_sum,
+                    snm_interleave_indices)
 from .rsindex import IndexResult, rs_index_stratified
 from .snm import Dimensions
 
@@ -132,8 +133,6 @@ def composite_radial_path(data: RabinowitzData, transverse: SnmPath) -> SnmPath:
 
 def composite_radial_family(transverse_dims: Dimensions) -> KernelFamily:
     """The shear block's isotropic plane embedded in the composite path."""
-    from .paths import snm_interleave_indices
-
     dims, _, idx_b = snm_interleave_indices(transverse_dims, Dimensions(1, 1))
     basis = np.zeros((dims.total, 2))
     basis[idx_b[1], 0] = 1.0      # angle direction of the block

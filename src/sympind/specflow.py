@@ -46,6 +46,7 @@ from .coefficients import (AffineIncrements, OperatorCoefficients, PathData,
                            path_from_coefficients, return_data)
 from .errors import (DegenerateAsymptote, InvalidInput, ShapeError,
                      TruncationUnstable)
+from .flows import parametrized_rs_index
 from .halfint import HalfInteger
 from .linalg import TOL_SV, inertia, kernel_basis, sym_part, symplectic_inverse
 from .paths import KernelFamily, SymplecticPath
@@ -654,8 +655,6 @@ def main_theorem_check(left_pd: PathData, right_pd: PathData,
     counts agree.  The verdict asserts flow = index(right end) -
     index(left end).
     """
-    from .flows import parametrized_rs_index
-
     repro = 0.0
     for pd, side in ((left_pd, "left"), (right_pd, "right")):
         if pd.nsteps == fam.n_theta:

@@ -21,7 +21,10 @@ import numpy as np
 from .errors import InvalidInput, ShapeError
 from .flows import CriticalPoint, HamiltonianSystem
 from .linalg import random_symmetric, standard_j, sym_part
+from .paths import constant_stack
 from .snm import Dimensions
+
+LOOP_SAMPLES = 256
 
 
 def _check_symmetric(name: str, a: np.ndarray, size: int) -> np.ndarray:
@@ -33,23 +36,20 @@ def _check_symmetric(name: str, a: np.ndarray, size: int) -> np.ndarray:
     return sym_part(a)
 
 
-def split_system(k_block: np.ndarray, f_block: np.ndarray,
-                 samples: int = 256) -> Tuple[HamiltonianSystem, CriticalPoint]:
+def split_system(k_block: np.ndarray,
+                 f_block: np.ndarray) -> Tuple[HamiltonianSystem, CriticalPoint]:
     """Uncoupled quadratic system H = x^T K x / 2 + lam^T F lam / 2.
 
     quadratic_system with G = 0; a scalar F is the 1 x 1 block.
     """
     k_block = np.asarray(k_block, dtype=float)
     f_block = np.atleast_2d(np.asarray(f_block, dtype=float))
-    sys, point = quadratic_system(k_block, np.zeros((f_block.shape[0], k_block.shape[0])),
-                                  f_block, samples=samples)
-    sys.label = "split"
-    return sys, point
+    return quadratic_system(k_block, np.zeros((f_block.shape[0], k_block.shape[0])),
+                            f_block)
 
 
 def quadratic_system(k_block: np.ndarray, g_block: np.ndarray,
-                     f_block: np.ndarray,
-                     samples: int = 256) -> Tuple[HamiltonianSystem, CriticalPoint]:
+                     f_block: np.ndarray) -> Tuple[HamiltonianSystem, CriticalPoint]:
     """Coupled quadratic system H = x^T K x / 2 + lam^T G x + lam^T F lam / 2."""
     k_block = np.asarray(k_block, dtype=float)
     g_block = np.asarray(g_block, dtype=float)
@@ -70,28 +70,25 @@ def quadratic_system(k_block: np.ndarray, g_block: np.ndarray,
 
     sys = HamiltonianSystem(
         dims,
-        vector_field=lambda t, x, lam: jk @ x + jg @ lam,
-        jac_x=lambda t, x, lam: jk,
-        jac_lam=lambda t, x, lam: jg,
-        grad_lam=lambda t, x, lam: g_block @ x + fb @ lam,
-        hess_mixed=lambda t, x, lam: hm,
-        label="quadratic")
-    point = CriticalPoint(np.zeros((samples, loop)), np.zeros(m))
+        vector_field=lambda t, x, lam: x @ jk.T + jg @ lam,
+        jac_x=lambda t, x, lam: constant_stack(jk, t),
+        jac_lam=lambda t, x, lam: constant_stack(jg, t),
+        grad_lam=lambda t, x, lam: x @ g_block.T + fb @ lam,
+        hess_mixed=lambda t, x, lam: constant_stack(hm, t))
+    point = CriticalPoint(np.zeros((LOOP_SAMPLES, loop)), np.zeros(m))
     return sys, point
 
 
 def random_quadratic_system(n: int, m: int, rng: np.random.Generator,
-                            scale: float = 0.8,
-                            samples: int = 256) -> Tuple[HamiltonianSystem, CriticalPoint]:
+                            scale: float = 0.8) -> Tuple[HamiltonianSystem, CriticalPoint]:
     """Random coupled quadratic instance with bounded coefficient size."""
     kb = random_symmetric(rng, 2 * n) * scale
     gb = rng.standard_normal((m, 2 * n)) * scale
     fb = random_symmetric(rng, m) * scale if m else np.zeros((0, 0))
-    return quadratic_system(kb, gb, fb, samples=samples)
+    return quadratic_system(kb, gb, fb)
 
 
 def radial_system(slope: float, curvature: float, turns: int = 1,
-                  samples: int = 256,
                   lam: Optional[float] = None) -> Tuple[HamiltonianSystem, CriticalPoint]:
     """One-parameter system H = lam k(r) in a flat angle chart.
 
@@ -118,24 +115,25 @@ def radial_system(slope: float, curvature: float, turns: int = 1,
 
     def vf(t, x, lam_):
         # X_H = -J0 grad_x H with grad_x H = (lam k'(r), 0)
-        return np.array([0.0, -lam_[0] * kprime(x[0])])
+        return np.stack([np.zeros(len(t)), -lam_[0] * kprime(x[:, 0])], axis=1)
 
     def jx(t, x, lam_):
-        return np.array([[0.0, 0.0], [-lam_[0] * curvature, 0.0]])
+        return constant_stack(np.array([[0.0, 0.0], [-lam_[0] * curvature, 0.0]]), t)
 
     def jl(t, x, lam_):
-        return np.array([[0.0], [-kprime(x[0])]])
+        return np.stack([np.zeros(len(t)), -kprime(x[:, 0])], axis=1)[:, :, None]
 
     def gl(t, x, lam_):
-        return np.array([kfun(x[0])])
+        return kfun(x[:, 0])[:, None]
 
     def hm(t, x, lam_):
-        return np.array([[kprime(x[0]), 0.0, 0.0]])
+        zero = np.zeros(len(t))
+        return np.stack([kprime(x[:, 0]), zero, zero], axis=1)[:, None, :]
 
-    sys = HamiltonianSystem(dims, vf, jx, jl, gl, hm, label="radial")
-    thetas = np.arange(samples) / samples
+    sys = HamiltonianSystem(dims, vf, jx, jl, gl, hm)
+    thetas = np.arange(LOOP_SAMPLES) / LOOP_SAMPLES
     drift = -lam_val * slope
-    gamma = np.stack([np.ones(samples), drift * thetas], axis=1)
+    gamma = np.stack([np.ones(LOOP_SAMPLES), drift * thetas], axis=1)
     point = CriticalPoint(gamma, np.array([lam_val]),
                           winding=np.array([0.0, drift]))
     return sys, point

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from sympind import (CriticalPoint, HalfInteger, check_critical_point,
                      exp_shear_path, extended_flow_check,
                      linearized_flow_path, parametrized_rs_index, snm_index)
-from sympind.errors import DegenerateEndpoint, InvalidInput
+from sympind.errors import DegenerateEndpoint, InvalidInput, ShapeError
 from sympind.linalg import random_orthogonal, random_symplectic
 from sympind.systems import (quadratic_system, radial_system,
                              random_quadratic_system, split_system)
@@ -110,3 +110,81 @@ def test_radial_winding_closes_the_chart():
     gamma1 = pt.gamma_at(np.array([1.0]))[0]
     np.testing.assert_allclose(gamma1 - gamma0, pt.winding, atol=1e-10)
     assert abs(pt.winding[1] - 4.0 * np.pi) < 1e-12
+
+
+CALLBACKS = ("vector_field", "jac_x", "jac_lam", "grad_lam", "hess_mixed")
+
+
+def _rewired(system, wrap):
+    """The system with wrap applied to each of its callbacks."""
+    return dataclasses.replace(
+        system, **{name: wrap(getattr(system, name)) for name in CALLBACKS})
+
+
+def _model_systems(wrap=lambda f: f):
+    """(system, point) for each built-in family and a transformed system.
+
+    wrap is applied to every callback, and for the transformed system to
+    the callbacks of its base system as well.
+    """
+    rng = np.random.default_rng(4)
+    base, base_pt = random_quadratic_system(1, 2, rng, scale=0.6)
+    phi = random_symplectic(rng, base.dims.j_loop(), 0.7)
+    rot = random_orthogonal(rng, base.dims.m)
+    cases = [
+        split_system(np.diag([0.9, 0.4]), np.array([[0.7]])),
+        quadratic_system(np.array([[0.7, 0.2], [0.2, -0.4]]),
+                         np.array([[0.5, -0.3]]), np.array([[0.6]])),
+        radial_system(slope=-1.0, curvature=0.5, turns=1),
+        (transform_system(_rewired(base, wrap), phi, rot),
+         transform_point(base_pt, phi, rot)),
+    ]
+    return [(_rewired(sys_, wrap), pt) for sys_, pt in cases]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_callbacks_receive_whole_loop_grids(case):
+    seen = []
+
+    def record(f):
+        def call(t, x, lam):
+            seen.append((t, x))
+            return f(t, x, lam)
+        return call
+
+    sys_, pt = _model_systems(record)[case]
+    linearized_flow_path(sys_, pt)
+    # two calls on the sample grid, three on each of the node and
+    # midpoint grids; the transformed system's base sees the same again
+    assert len(seen) == (16 if case == 3 else 8)
+    for t, x in seen:
+        assert isinstance(t, np.ndarray) and t.ndim == 1 and t.dtype == float
+        assert x.shape == (t.size, sys_.dims.loop)
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_batched_callbacks_match_per_point_calls_bitwise(case):
+    def per_point(f):
+        def call(t, x, lam):
+            return np.stack([f(t[i:i + 1], x[i:i + 1], lam)[0]
+                             for i in range(t.size)])
+        return call
+
+    sys_, pt = _model_systems()[case]
+    ref_sys, _ = _model_systems(per_point)[case]
+    got = linearized_flow_path(sys_, pt)
+    want = linearized_flow_path(ref_sys, pt)
+    for field in ("psi", "x", "e"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_callback_stack_of_wrong_shape_is_named():
+    sys_, pt = random_quadratic_system(1, 2, np.random.default_rng(2))
+    # one (m,) gradient for the whole grid would broadcast into the mean
+    flat = dataclasses.replace(sys_, grad_lam=lambda t, x, lam: np.zeros(2))
+    with pytest.raises(ShapeError, match="grad_lam"):
+        check_critical_point(flat, pt)
+    jx = sys_.jac_x(np.zeros(1), np.zeros((1, 2)), pt.lam)[0]
+    single = dataclasses.replace(sys_, jac_x=lambda t, x, lam: jx)
+    with pytest.raises(ShapeError, match="jac_x"):
+        linearized_flow_path(single, pt)

@@ -1,4 +1,4 @@
-"""Every top-level import of a package module is used in that module."""
+"""Package modules import their siblings at the top and use every import."""
 
 import ast
 from pathlib import Path
@@ -45,3 +45,19 @@ def test_no_unused_top_level_imports(module):
     tree = ast.parse(module.read_text(encoding="utf-8"))
     unused = sorted(set(_imported_names(tree)) - _used_names(tree))
     assert not unused, f"{module.name} imports but never uses: {', '.join(unused)}"
+
+
+def _local_relative_imports(tree: ast.Module):
+    """Line and module of each relative import inside a function body."""
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    yield f"line {node.lineno}: from {'.' * node.level}{node.module or ''}"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_sibling_imports_sit_at_module_top(module):
+    tree = ast.parse(module.read_text(encoding="utf-8"))
+    local = list(_local_relative_imports(tree))
+    assert not local, f"{module.name} imports a sibling inside a function: {'; '.join(local)}"

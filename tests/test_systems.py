@@ -58,8 +58,9 @@ def test_radial_rejects_flat_level():
 def test_random_quadratic_is_seed_deterministic():
     a, _ = random_quadratic_system(1, 1, np.random.default_rng(9))
     b, _ = random_quadratic_system(1, 1, np.random.default_rng(9))
-    x = np.array([0.3, -0.2])
+    t = np.array([0.1])
+    x = np.array([[0.3, -0.2]])
     lam = np.array([0.5])
-    np.testing.assert_array_equal(a.jac_x(0.1, x, lam), b.jac_x(0.1, x, lam))
-    np.testing.assert_array_equal(a.vector_field(0.1, x, lam),
-                                  b.vector_field(0.1, x, lam))
+    np.testing.assert_array_equal(a.jac_x(t, x, lam), b.jac_x(t, x, lam))
+    np.testing.assert_array_equal(a.vector_field(t, x, lam),
+                                  b.vector_field(t, x, lam))
