@@ -154,6 +154,11 @@ def _parse_half(text: str) -> HalfInteger:
 
 # --- subcommands ------------------------------------------------------------
 
+def _fixed9(x: float) -> str:
+    """x to 9 decimals, unsigned when it rounds to zero (no "-0.000000000")."""
+    return f"{round(x, 9) + 0.0:.9f}"
+
+
 def _crossing_rows(result: IndexResult) -> List[dict]:
     rows = []
     for c in result.crossings:
@@ -173,7 +178,7 @@ def _index_output(result: IndexResult, command: str) -> Tuple[List[str], dict]:
     lines.append(f"crossings ({len(rows)}):")
     for r in rows:
         where = r["endpoint"] or "interior"
-        lines.append(f"  t={r['t']:.9f}  {where:8s}  kernel={r['kernel_dim']}"
+        lines.append(f"  t={_fixed9(r['t'])}  {where:8s}  kernel={r['kernel_dim']}"
                      f"  excess={r['excess_dim']}  signature={r['signature']:+d}")
     obj = {"command": command, "index": str(result.value), "crossings": rows}
     return lines, obj
@@ -245,7 +250,7 @@ def _cmd_spectralflow(args: argparse.Namespace, cfg: RunConfig) -> Tuple[List[st
              f"spectral flow (galerkin): {flow_g.value:+d}",
              f"crossings ({len(rows)}):"]
     for r in rows:
-        lines.append(f"  s={r['s']:.9f}  kernel={r['kernel_dim']}"
+        lines.append(f"  s={_fixed9(r['s'])}  kernel={r['kernel_dim']}"
                      f"  signature={r['signature']:+d}")
     ok = flow_m.value == flow_g.value
     lines.append("methods agree" if ok else "METHOD MISMATCH")

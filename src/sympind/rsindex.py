@@ -373,9 +373,14 @@ def _validate_family(path: SymplecticPath, family: KernelFamily, ts: np.ndarray,
         raise ContainmentError("family frames are not orthonormal")
     resid = (ms - np.eye(path.size)) @ bs
     if resid.size:
-        sv_top = np.linalg.svd(ms - np.eye(path.size), compute_uv=False)[..., 0]
-        allowed = tol_sv * np.maximum(sv_top, 1.0)
+        # the cut tol_sv max(sigma_max, 1) is at least tol_sv, so only a
+        # sample whose residual exceeds tol_sv needs the SVD
         worst = np.max(np.abs(resid), axis=(-1, -2))
+        allowed = np.full(len(worst), tol_sv)
+        over = worst > tol_sv
+        if np.any(over):
+            sv_top = np.linalg.svd(ms[over] - np.eye(path.size), compute_uv=False)[..., 0]
+            allowed[over] = tol_sv * np.maximum(sv_top, 1.0)
         if np.any(worst > allowed):
             i = int(np.argmax(worst - allowed))
             raise ContainmentError(

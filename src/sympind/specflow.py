@@ -30,6 +30,18 @@ A family between two asymptotes is affine in one scalar, so its RK4
 step increments are tabulated once and combined per s instead.
 Each end's kernel is integrated once per family and shared by the
 generator's retry, spectral_flow_matrix and main_theorem_check.
+
+Such a family's return path is M(s) = F(w^(s)), where w^ is the spline
+of its scalar profile and F(w) is the return matrix of K(left) +
+w K(right - left).  Spectral flow does not change under a monotone
+reparametrization (Robbin and Salamon, Bull. LMS 27 (1995); Phillips,
+Canad. Math. Bull. 39 (1996)), so when w^ is increasing
+spectral_flow_matrix scans w -> F(w) over [w^(s_min), w^(s_max)] at
+W_SCAN_INTERVALS intervals instead of s -> M(s) at 512.  Each crossing
+w* goes back to the s* with w^(s*) = w* (Brent's method on its spline
+piece) and its path form to w^'(s*) times the form in w; the displayed
+forms are computed in s as before.  Table families and profiles that
+are not increasing are scanned in s.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from .coefficients import (AffineIncrements, OperatorCoefficients, PathData,
                            generator_coefficients, generator_tables,
@@ -50,8 +63,7 @@ from .flows import parametrized_rs_index
 from .halfint import HalfInteger
 from .linalg import TOL_SV, inertia, kernel_basis, sym_part, symplectic_inverse
 from .paths import KernelFamily, SymplecticPath
-from .rsindex import (CrossingReport, endpoint_phase, is_nondegenerate,
-                      rs_index_stratified)
+from .rsindex import endpoint_phase, is_nondegenerate, rs_index_stratified
 from .snm import Dimensions, SnmElement, assemble_blocks, reduced_return_matrix
 
 S_SPAN = 16.0
@@ -63,6 +75,7 @@ GALERKIN_GAP = 8
 GALERKIN_EIG_TOL = 1e-8
 FLOW_TOL_SV = 1e-7
 FD_S_FACTOR = 1e-6
+W_SCAN_INTERVALS = 128
 _S_CHUNK = 64
 
 
@@ -108,6 +121,70 @@ def _combine(sets: np.ndarray, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _in_chunks(data: Callable, values: np.ndarray):
+    """The return data blocks of data(values), _S_CHUNK values at a time.
+
+    Only one chunk's propagation is live at once, so a long scan grid
+    stays in bounded memory.
+    """
+    parts = [data(values[i:i + _S_CHUNK]) for i in range(0, len(values), _S_CHUNK)]
+    return tuple(np.concatenate(blocks) for blocks in zip(*parts))
+
+
+class Profile:
+    """The spline w^ of a from_asymptotes family's scalar profile.
+
+    w^ is the not-a-knot cubic spline of the profile samples w_i on the
+    family's s-grid, evaluated piece by piece with the cubic Hermite
+    weights of _hermite; each piece lies in the hull of its Bezier
+    control points (w_i, w_i + h m_i / 3, w_i+1 - h m_i+1 / 3, w_i+1),
+    with node slopes m_i and step h.  w^ is increasing when the w_i are
+    strictly increasing and every piece's control points are
+    non-decreasing; only then is it inverted.
+    """
+
+    def __init__(self, s_grid: np.ndarray, w: np.ndarray):
+        self.s_grid, self.w = s_grid, w
+        self.slopes = _spline_slopes(s_grid, w)
+        step = np.diff(s_grid)
+        self.control = np.stack([w[:-1], w[:-1] + step * self.slopes[:-1] / 3.0,
+                                 w[1:] - step * self.slopes[1:] / 3.0, w[1:]], axis=1)
+        self.increasing = bool(np.all(np.diff(w) > 0.0)
+                               and np.all(np.diff(self.control, axis=1) >= 0.0))
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        """w^ at a 1-D array of s, frozen outside the grid."""
+        i, h = _hermite(self.s_grid, s)
+        return (h[:, 0] * self.w[i] + h[:, 1] * self.slopes[i]
+                + h[:, 2] * self.w[i + 1] + h[:, 3] * self.slopes[i + 1])
+
+    def slope(self, s: float) -> float:
+        """w^'(s) inside the grid, from the control points of its piece."""
+        i = int(np.clip(np.searchsorted(self.s_grid, s, side="right") - 1,
+                        0, len(self.s_grid) - 2))
+        lo, hi = self.s_grid[i], self.s_grid[i + 1]
+        t = (s - lo) / (hi - lo)
+        d = np.diff(self.control[i])
+        return float(3.0 * ((1.0 - t) ** 2 * d[0] + 2.0 * t * (1.0 - t) * d[1]
+                            + t * t * d[2]) / (hi - lo))
+
+    def _gap(self, s: float, w_star: float) -> float:
+        return float(self(np.array([s]))[0]) - w_star
+
+    def inverse(self, w_star: float) -> float:
+        """The s with w^(s) = w_star, for an increasing w^.
+
+        Brent's method runs on the piece whose end values bracket w_star;
+        w^ is exactly w_i at the node s_i, so the bracket holds.
+        """
+        w_star = float(np.clip(w_star, self.w[0], self.w[-1]))
+        i = int(np.clip(np.searchsorted(self.w, w_star, side="right") - 1,
+                        0, len(self.w) - 2))
+        return float(brentq(self._gap, self.s_grid[i], self.s_grid[i + 1],
+                            args=(w_star,), xtol=4 * np.finfo(float).eps,
+                            maxiter=200))
+
+
 class OperatorFamily:
     """Loop coefficients (S, C, D) over an s-interval with frozen ends.
 
@@ -146,6 +223,13 @@ class OperatorFamily:
     product per s so that the batch does not change the rounding; the
     affine family keeps no midpoint tables and builds no K tables per s.
     Each end's AsymptoticKernel is integrated once, on first use.
+
+    An affine family keeps its profile spline w^ as profile (None for a
+    table family).  When w^ is increasing, profile_path is the path
+    w -> F(w) over [w^(s_min), w^(s_max)], evaluated from the same
+    increment table, so return_data_at(s) is F(w^(s)) and
+    spectral_flow_matrix scans the profile path at W_SCAN_INTERVALS
+    intervals instead of return_path at 512.
     """
 
     def __init__(self, dims: Dimensions, s_grid: np.ndarray, s_table: np.ndarray,
@@ -173,25 +257,29 @@ class OperatorFamily:
         self._set_basis(dims, s_grid, sets, weights)
 
     def _set_basis(self, dims: Dimensions, s_grid: np.ndarray, sets, weights,
-                   w_range: Optional[tuple] = None) -> None:
+                   profile: Optional[Profile] = None) -> None:
         """Build the basis sets' K tables; store them and the weight rule.
 
         weights maps an array of s values to the set indices and weights
-        (idx, u) that _combine takes.  An affine family passes the range
-        (lo, hi) of its w^; its midpoint tables then go into its
-        increment table and are not kept.  The sets themselves are not
-        kept: coefficients_at reads them back from the node tables.
+        (idx, u) that _combine takes.  An affine family passes its
+        profile spline w^; its midpoint tables then go into an increment
+        table over an interval holding [0, 1] and the hull of w^, and are
+        not kept.  The sets themselves are not kept: coefficients_at
+        reads them back from the node tables.
         """
         self.dims = dims
         self.s_grid = s_grid
         self.n_theta = sets[0].shape[1]
+        self.profile = profile
         self._weights = weights
         self._nodes, mids = generator_tables(dims, *sets)
-        if w_range is None:
+        if profile is None:
             self._mids, self._increments = mids, None
         else:
             self._mids = None
-            self._increments = AffineIncrements(dims, self._nodes, mids, *w_range)
+            self._increments = AffineIncrements(
+                dims, self._nodes, mids, min(0.0, float(profile.control.min())),
+                max(1.0, float(profile.control.max())))
 
     @property
     def s_min(self) -> float:
@@ -233,16 +321,15 @@ class OperatorFamily:
         at once.  An s value's return data does not depend on the chunk
         it falls in.
         """
-        s_arr = np.atleast_1d(np.asarray(s_batch, dtype=float))
-        parts = []
-        for i in range(0, len(s_arr), _S_CHUNK):
-            idx, u = self._weights(s_arr[i:i + _S_CHUNK])
-            if self._increments is not None:
-                parts.append(self._increments.return_data(u[:, 1]))
-            else:
-                parts.append(return_data(self.dims, _combine(self._nodes, idx, u),
-                                         _combine(self._mids, idx, u)))
-        return tuple(np.concatenate(blocks) for blocks in zip(*parts))
+        return _in_chunks(self._return_data_chunk,
+                          np.atleast_1d(np.asarray(s_batch, dtype=float)))
+
+    def _return_data_chunk(self, s: np.ndarray):
+        idx, u = self._weights(s)
+        if self._increments is not None:
+            return self._increments.return_data(u[:, 1])
+        return return_data(self.dims, _combine(self._nodes, idx, u),
+                           _combine(self._mids, idx, u))
 
     def return_path(self) -> SymplecticPath:
         """The path s -> M(s, 1) as a vectorized symplectic path."""
@@ -254,6 +341,23 @@ class OperatorFamily:
         return SymplecticPath((self.s_min, self.s_max), evaluate,
                               jmat=dims.j_ext(), sample_hint=512)
 
+    def profile_path(self) -> SymplecticPath:
+        """The path w -> F(w) over [w^(s_min), w^(s_max)] (module notes).
+
+        Only for a family whose profile is increasing; F(w^(s)) is
+        return_path at s.  Evaluated in _S_CHUNK blocks of w.
+        """
+        if self.profile is None or not self.profile.increasing:
+            raise InvalidInput("profile_path needs an affine family with an "
+                               "increasing profile")
+        dims = self.dims
+
+        def evaluate(w):
+            return assemble_blocks(dims, *_in_chunks(self._increments.return_data, w))
+
+        return SymplecticPath((float(self.profile.w[0]), float(self.profile.w[-1])),
+                              evaluate, jmat=dims.j_ext())
+
     @classmethod
     def from_asymptotes(cls, left: OperatorCoefficients,
                         right: OperatorCoefficients,
@@ -263,7 +367,8 @@ class OperatorFamily:
 
         The family's tables are left + w(s_i) (right - left); they are
         never built.  The default profile (1 + tanh s)/2 is flat to below
-        1e-9 on the outer 10% of the grid [-S_SPAN, S_SPAN].
+        1e-9 on the outer 10% of the grid [-S_SPAN, S_SPAN], and its
+        spline is increasing, so the family is scanned in w.
         """
         if left.dims != right.dims or left.n_theta != right.n_theta:
             raise InvalidInput("asymptotes must share dimensions and grid")
@@ -274,21 +379,14 @@ class OperatorFamily:
                                                         (left.c, right.c),
                                                         (left.d, right.d)))
         _validate_profile(w, sets)
-        slopes = _spline_slopes(s_grid, w)
-        # each spline piece lies in the hull of its Bezier control points
-        step = np.diff(s_grid)
-        hull = np.concatenate([w, w[:-1] + step * slopes[:-1] / 3.0,
-                               w[1:] - step * slopes[1:] / 3.0])
+        profile = Profile(s_grid, w)
 
         def weights(s):
-            i, h = _hermite(s_grid, s)
-            w_s = (h[:, 0] * w[i] + h[:, 1] * slopes[i] + h[:, 2] * w[i + 1]
-                   + h[:, 3] * slopes[i + 1])
+            w_s = profile(s)
             return np.array([0, 1]), np.stack([np.ones_like(w_s), w_s], axis=1)
 
         fam = cls.__new__(cls)
-        fam._set_basis(left.dims, s_grid, sets, weights,
-                       (min(0.0, float(hull.min())), max(1.0, float(hull.max()))))
+        fam._set_basis(left.dims, s_grid, sets, weights, profile)
         return fam
 
 
@@ -473,8 +571,8 @@ class SpectralFlowResult:
     details: dict = field(default_factory=dict)
 
 
-def _crossing_block_forms(fam: OperatorFamily, report: CrossingReport):
-    """The two displayed quadratic-form matrices at one crossing.
+def _crossing_block_forms(fam: OperatorFamily, s: float, basis: np.ndarray):
+    """The two displayed quadratic-form matrices at the crossing s.
 
     Central finite differences in s of the return data feed both the
     full-size block matrix (acting on (zeta_0, ell, v)) and the reduced
@@ -485,7 +583,6 @@ def _crossing_block_forms(fam: OperatorFamily, report: CrossingReport):
     j0 = dims.j_loop()
     ln, pm = dims.loop, dims.m
     delta = FD_S_FACTOR * (fam.s_max - fam.s_min)
-    s = report.t
     psi3, x3, e3 = fam.return_data_at(np.array([s - delta, s, s + delta]))
     psi, x = psi3[1], x3[1]
     dpsi = (psi3[2] - psi3[0]) / (2 * delta)
@@ -506,7 +603,6 @@ def _crossing_block_forms(fam: OperatorFamily, report: CrossingReport):
     reduced[ln:, :ln] = dx.T @ j0
     reduced[ln:, ln:] = de - sym_xjdx
 
-    basis = report.basis
     form_blocks = basis.T @ blocks @ basis
     trunc = basis[:ln + pm]
     form_reduced = trunc.T @ reduced @ trunc
@@ -524,23 +620,45 @@ def _require_nondegenerate(side: str, kernel: AsymptoticKernel,
 
 def spectral_flow_matrix(fam: OperatorFamily, tol_sv: float = FLOW_TOL_SV
                          ) -> SpectralFlowResult:
-    """Spectral flow as the stratified index of the endpoint-matrix path."""
+    """Spectral flow as the stratified index of the endpoint-matrix path.
+
+    A family with an increasing profile w^ (every from_asymptotes family
+    with the default profile) is scanned in w: its profile_path w ->
+    F(w) at W_SCAN_INTERVALS intervals, which has the same flow as
+    s -> M(s) = F(w^(s)) because flow does not change under a monotone
+    reparametrization.  Each crossing w* is reported at the s* with
+    w^(s*) = w*, with path form w^'(s*) times its form in w; the kernel
+    basis and signature carry over since w^' > 0.  Any other family is
+    scanned in s, on return_path at its 512 intervals.  details["scan"]
+    says which ("w" or "s"): it is the parameter of the crossing
+    instants in details["index"].
+    """
     _require_nondegenerate("left", fam.left_kernel, tol_sv)
     _require_nondegenerate("right", fam.right_kernel, tol_sv)
-    path = fam.return_path()
+    profile = fam.profile if fam.profile is not None and fam.profile.increasing else None
+    if profile is None:
+        path, samples = fam.return_path(), None
+    else:
+        path, samples = fam.profile_path(), W_SCAN_INTERVALS
     family = KernelFamily.dual_slot(fam.dims)
-    result = rs_index_stratified(path, family, tol_sv=tol_sv, validate=False)
+    result = rs_index_stratified(path, family, tol_sv=tol_sv, samples=samples,
+                                 validate=False)
     if not result.value.is_integer():
         raise InvalidInput(
             f"flow came out non-integer ({result.value}) despite "
             "nondegenerate asymptotes")
     crossings = []
     for rep in result.crossings:
-        form_blocks, form_reduced = _crossing_block_forms(fam, rep)
-        crossings.append(FlowCrossing(rep.t, rep.kernel_dim, rep.signature,
-                                      rep.form, form_blocks, form_reduced))
+        s, form = rep.t, rep.form
+        if profile is not None:
+            s = profile.inverse(rep.t)
+            form = profile.slope(s) * rep.form
+        form_blocks, form_reduced = _crossing_block_forms(fam, s, rep.basis)
+        crossings.append(FlowCrossing(s, rep.kernel_dim, rep.signature,
+                                      form, form_blocks, form_reduced))
     return SpectralFlowResult(result.value.as_int(), "matrix", crossings,
-                              details={"index": result})
+                              details={"index": result,
+                                       "scan": "s" if profile is None else "w"})
 
 
 def fourier_profiles(modes: int, thetas: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Command-line behaviour: outputs, exit codes, and determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sympind.cli import _resolve_config, build_parser, main
+from sympind.cli import _fixed9, _resolve_config, build_parser, main
 from sympind.flows import linearized_flow_path, parametrized_rs_index
 from sympind.linalg import ExpCurve, standard_j
 from sympind.rsindex import rs_index_stratified
@@ -171,6 +173,32 @@ def test_paramindex_quadratic_matches_library(tmp_path, capsys):
         linearized_flow_path(*quadratic_system(np.array(kb), np.array(gb),
                                                np.array(fb))))
     assert body["index"] == str(want.value)
+
+
+def _readme_spectralflow_example():
+    """(argv, family file, printed lines) of the README spectralflow example."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("### spectralflow", 1)[1].split("\n### ", 1)[0]
+    blocks = re.findall(r"```[a-z]*\n(.*?)```", section, flags=re.S)
+    command, family, printed = blocks[:3]
+    return command.split()[1:], json.loads(family), printed.splitlines()
+
+
+@pytest.mark.parametrize("x,text", [(-2.1e-17, "0.000000000"), (-0.0, "0.000000000"),
+                                    (-4e-10, "0.000000000"), (-6e-10, "-0.000000001"),
+                                    (0.4318, "0.431800000")])
+def test_instants_that_round_to_zero_print_unsigned(x, text):
+    assert _fixed9(x) == text
+
+
+def test_spectralflow_readme_example(tmp_path, capsys):
+    # a scan in s put this crossing at s = -2.1e-17, once printed as
+    # s=-0.000000000
+    argv, family, printed = _readme_spectralflow_example()
+    assert argv[:2] == ["spectralflow", "family.json"]
+    argv[1] = _write(tmp_path, "family.json", family)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == printed
 
 
 def test_spectralflow_split_tanh(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """The evaluator rule: callbacks get a 1-D array, a scalar t is one entry.
 
-Every constructor and combinator of paths.py, plus perturb_stratified and
-OperatorFamily.return_path, is built over recording callbacks where it
-takes any; a scalar t must give exactly the first entry of the batch
-[t], and every callback must only ever see 1-D float arrays.
+Every constructor and combinator of paths.py, plus perturb_stratified,
+OperatorFamily.return_path and OperatorFamily.profile_path, is built
+over recording callbacks where it takes any; a scalar t must give
+exactly the first entry of the batch [t], and every callback must only
+ever see 1-D float arrays.
 """
 
 import numpy as np
@@ -74,6 +75,12 @@ def _return_path(rec):
     return fam.return_path()
 
 
+def _profile_path(rec):
+    fam = split_tanh_family(n_theta=64)
+    fam._increments.return_data = rec(fam._increments.return_data)
+    return fam.profile_path()
+
+
 PATHS = {
     "SymplecticPath": _base,
     "SymplecticPath-fd": lambda rec: _base(rec, derivative=False),
@@ -98,6 +105,7 @@ PATHS = {
     "perturb_stratified": _perturbed,
     "perturb_stratified-snm": _perturbed_snm,
     "OperatorFamily.return_path": _return_path,
+    "OperatorFamily.profile_path": _profile_path,
 }
 # built from closed-form data only: no callback to record
 CLOSED = {"constant_path", "exp_path", "exp_shear_path"}

@@ -1,5 +1,7 @@
 """Index values against closed forms and the perturbation oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from sympind import (HalfInteger, KernelFamily, catenate, direct_sum,
                      rs_index_stratified, snm_index)
 from sympind.errors import ContainmentError
 from sympind.linalg import ExpCurve, random_orthogonal, standard_j
+from sympind.snm import dual_slot_basis
 from sympind.suites import stratified_corpus
 
 J2 = standard_j(1)
@@ -106,6 +109,54 @@ def test_family_outside_kernel_is_rejected():
     fam = KernelFamily.constant(basis, J2)
     with pytest.raises(ContainmentError):
         rs_index_stratified(p, fam, validate=True)
+
+
+def _tilted_dual_slot(dims, angle):
+    """The dual-slot frame turned towards the first loop direction by
+    angle(t) radians; it leaves the kernel wherever the angle is not 0."""
+    base = dual_slot_basis(dims)[:, 0]
+    away = np.eye(dims.total)[0]
+
+    def evaluate(t):
+        a = angle(t)[:, None, None]
+        return np.cos(a) * base[:, None] + np.sin(a) * away[:, None]
+
+    return KernelFamily(evaluate, 1, 0)
+
+
+def _reference_containment_error(path, family, tol_sv):
+    """The containment verdict with the SVD of M - I at every sample."""
+    ts = np.linspace(*path.domain, path.sample_hint + 1)
+    ms, bs = path(ts), family(ts)
+    eye = np.eye(path.size)
+    allowed = tol_sv * np.maximum(np.linalg.svd(ms - eye, compute_uv=False)[:, 0], 1.0)
+    worst = np.max(np.abs((ms - eye) @ bs), axis=(-1, -2))
+    if not np.any(worst > allowed):
+        return None, worst
+    i = int(np.argmax(worst - allowed))
+    return f"family leaves the kernel by {worst[i]:.3e} at t={ts[i]:.6g}", worst
+
+
+def test_family_leaving_the_kernel_is_reported_where_it_leaves():
+    shear = exp_shear_path(np.diag([2.5, 1.5]), np.array([[0.6]]))
+    path = shear.to_path()
+    leaving = _tilted_dual_slot(shear.dims, lambda t: 1e-6 * np.maximum(t - 0.6, 0.0))
+    want, _ = _reference_containment_error(path, leaving, 1e-8)
+    assert want is not None
+    with pytest.raises(ContainmentError, match=f"^{re.escape(want)}$"):
+        rs_index_stratified(path, leaving, tol_sv=1e-8, validate=True)
+
+
+def test_residual_between_tol_sv_and_its_cut_passes():
+    # a frame turned by 0.9 tol_sv: residuals up to 0.9 tol_sv |M - I|,
+    # above tol_sv at some samples but below tol_sv sigma_max everywhere
+    shear = exp_shear_path(np.diag([2.5, 1.5]), np.array([[0.6]]))
+    path = shear.to_path()
+    tilted = _tilted_dual_slot(shear.dims, lambda t: np.full_like(t, 0.9e-8))
+    want, worst = _reference_containment_error(path, tilted, 1e-8)
+    assert want is None and np.any(worst > 1e-8)
+    res = rs_index_stratified(path, tilted, tol_sv=1e-8, validate=True)
+    assert res.value == snm_index(shear).value
 
 
 def test_index_call_evaluates_its_scan_grid_once(counted):

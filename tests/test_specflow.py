@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from sympind import (Dimensions, OperatorCoefficients, OperatorFamily,
-                     coefficients, path_from_coefficients,
-                     spectral_flow_galerkin, spectral_flow_matrix, specflow)
+from sympind import (Dimensions, KernelFamily, OperatorCoefficients,
+                     OperatorFamily, coefficients, path_from_coefficients,
+                     rs_index_stratified, spectral_flow_galerkin,
+                     spectral_flow_matrix, specflow)
 from sympind.cli import main
 from sympind.coefficients import generator_tables, return_data
 from sympind.errors import (DegenerateAsymptote, InvalidInput, ShapeError,
                             TruncationUnstable)
 from sympind.linalg import inertia, sym_part
-from sympind.specflow import (asymptotic_kernel, fourier_profiles,
+from sympind.specflow import (FLOW_TOL_SV, asymptotic_kernel, fourier_profiles,
                               galerkin_matrix, main_theorem_check,
                               random_operator_family, random_trig_samples,
                               split_tanh_family)
@@ -190,6 +191,87 @@ def test_crossing_pair_two_grid_steps_apart():
     assert report.flow_matrix.value == report.flow_galerkin.value == 0
     assert report.index_difference.as_int() == 0
     assert report.ok
+
+
+def _s_scan(fam):
+    """The s-scan of the return path at its 512 intervals, by public calls."""
+    return rs_index_stratified(fam.return_path(), KernelFamily.dual_slot(fam.dims),
+                               tol_sv=FLOW_TOL_SV, validate=False)
+
+
+_SCAN_FAMILIES = [(seed, Dimensions(*((1, 1), (2, 1), (1, 2), (2, 2))[seed % 4]))
+                  for seed in range(1000, 1008)] + [(9007, Dimensions(2, 2)),
+                                                    (None, Dimensions(1, 1))]
+
+
+@pytest.mark.parametrize("seed,dims", _SCAN_FAMILIES)
+def test_w_scan_matches_the_s_scan(seed, dims):
+    # flow does not change under the reparametrization s -> w^(s); each
+    # crossing maps back to the s-scan's instant and path form
+    fam = (split_tanh_family(alpha=ALPHA) if seed is None
+           else random_operator_family(dims, seed=seed))
+    res = spectral_flow_matrix(fam)
+    want = _s_scan(fam)
+    assert res.details["scan"] == "w" and res.details["index"].samples == 128
+    assert res.value == want.value.as_int()
+    assert ([(c.kernel_dim, c.signature) for c in res.crossings]
+            == [(c.kernel_dim, c.signature) for c in want.crossings])
+    for got, ref in zip(res.crossings, want.crossings):
+        assert abs(got.s - ref.t) <= 1e-10
+        assert np.max(np.abs(got.form_path - ref.form)) <= 1e-6
+        assert max(got.block_deviation, got.reduced_deviation) <= 1e-6
+
+
+def test_w_scan_crossing_reproduces_its_matrix_at_s():
+    # the w-path and return_data_at share one w^ and one increment table
+    fam = random_operator_family(Dimensions(2, 2), seed=1003)
+    res = spectral_flow_matrix(fam)
+    (rep,) = res.details["index"].crossings
+    (crossing,) = res.crossings
+    np.testing.assert_allclose(fam.return_path()(crossing.s), fam.profile_path()(rep.t),
+                               rtol=0.0, atol=1e-12)
+    assert abs(fam.profile(np.array([crossing.s]))[0] - rep.t) <= 1e-15
+
+
+def test_table_family_keeps_the_s_scan():
+    fam = split_tanh_family(alpha=ALPHA, n_theta=64)
+    table_fam = OperatorFamily(fam.dims, fam.s_grid, *_family_tables(fam))
+    assert table_fam.profile is None
+    with pytest.raises(InvalidInput):
+        table_fam.profile_path()
+    res = spectral_flow_matrix(table_fam)
+    assert res.details["scan"] == "s" and res.details["index"].samples == 512
+    assert res.value == 1
+
+
+def test_non_monotone_profile_keeps_the_s_scan():
+    # w^ = (1 + tanh s)/2 - s exp(-s^2) passes 1/2 down at s = 0 and up
+    # at s = +-0.95: three crossings of the anchor, flow +1
+    profile = lambda s: 0.5 * (1.0 + np.tanh(s)) - s * np.exp(-s * s)
+    fam = OperatorFamily.from_asymptotes(_anchor_coeffs(-1.0), _anchor_coeffs(1.0),
+                                         profile=profile)
+    assert not fam.profile.increasing
+    res = spectral_flow_matrix(fam)
+    assert res.details["scan"] == "s" and res.details["index"].samples == 512
+    assert res.value == 1
+    assert [c.signature for c in res.crossings] == [1, -1, 1]
+    assert abs(res.crossings[1].s) < 1e-9
+
+
+def test_w_scan_propagates_fewer_rows(monkeypatch):
+    # family 1003: 159 w-values through the increment table (546 for the
+    # s-scan, whose grid alone has 513)
+    rows = []
+    real = coefficients.AffineIncrements.return_data
+
+    def counting(self, w):
+        rows.append(len(w))
+        return real(self, w)
+
+    fam = random_operator_family(Dimensions(2, 2), seed=1003)
+    monkeypatch.setattr(coefficients.AffineIncrements, "return_data", counting)
+    spectral_flow_matrix(fam)
+    assert sum(rows) == 159
 
 
 def test_generator_skips_asymptotes_in_the_ambiguous_band():
