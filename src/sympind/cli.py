@@ -260,6 +260,14 @@ def _cmd_spectralflow(args: argparse.Namespace, cfg: RunConfig) -> Tuple[List[st
 
 
 def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> Tuple[List[str], dict, int]:
+    default = RunConfig()
+    fixed = [name for name in ("tol_sv", "tol_eig", "sample_hint")
+             if getattr(cfg, name) != getattr(default, name)]
+    if fixed:
+        # every suite runs at its own tolerances and grids, which no knob reaches
+        raise InvalidInput(
+            f"verify takes no {', '.join(fixed)}: leave --tol-sv and the "
+            "config's tol_sv, tol_eig and sample_hint at their defaults")
     overrides = {}
     if args.count is not None:
         key = {"axioms": "instances", "roundtrip": "count",

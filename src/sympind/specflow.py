@@ -40,8 +40,20 @@ spectral_flow_matrix scans w -> F(w) over [w^(s_min), w^(s_max)] at
 W_SCAN_INTERVALS intervals instead of s -> M(s) at 512.  Each crossing
 w* goes back to the s* with w^(s*) = w* (Brent's method on its spline
 piece) and its path form to w^'(s*) times the form in w; the displayed
-forms are computed in s as before.  Table families and profiles that
-are not increasing are scanned in s.
+forms are computed in s as before, from finite differences of the
+return data, so they check the path form independently.  Table families
+and profiles that are not increasing are scanned in s.
+
+F solves a linear ODE whose coefficients are affine in w, so it is
+entire in w and its Chebyshev coefficients on the w-interval decay
+faster than any geometric rate (Trefethen, Approximation Theory and
+Approximation Practice, SIAM 2013, ch. 8).  The w-scan therefore runs
+on the Chebyshev series of F (ChebyshevSeries), fitted once per family
+from F at SERIES_DEGREE + 1 Chebyshev-Lobatto points, the degree
+doubling until the last two coefficients are at most SERIES_TAIL_TOL of
+the largest; the path's derivative is the series' derivative.  If the
+tail has not converged at SERIES_MAX_DEGREE, which costs about as many
+propagations as the scan grid, the scan runs on F itself.
 """
 
 from __future__ import annotations
@@ -51,6 +63,8 @@ from functools import cached_property
 from typing import Callable, List, Optional
 
 import numpy as np
+from numpy.polynomial import chebyshev
+from scipy.fft import dct
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
@@ -76,6 +90,9 @@ GALERKIN_EIG_TOL = 1e-8
 FLOW_TOL_SV = 1e-7
 FD_S_FACTOR = 1e-6
 W_SCAN_INTERVALS = 128
+SERIES_DEGREE = 16
+SERIES_MAX_DEGREE = 128
+SERIES_TAIL_TOL = 1e-14
 _S_CHUNK = 64
 
 
@@ -129,6 +146,65 @@ def _in_chunks(data: Callable, values: np.ndarray):
     """
     parts = [data(values[i:i + _S_CHUNK]) for i in range(0, len(values), _S_CHUNK)]
     return tuple(np.concatenate(blocks) for blocks in zip(*parts))
+
+
+class ChebyshevSeries:
+    """Chebyshev series of a matrix function of w on [lo, hi].
+
+    fit samples the function at the Chebyshev-Lobatto points
+    w_k = (lo + hi)/2 + (hi - lo)/2 cos(pi k / n), ends included, and
+    takes the coefficients of the interpolant by a DCT-I.  The degree n
+    starts at SERIES_DEGREE and doubles; the doubled point set holds the
+    previous one at its even k, so only the odd points are new.  It stops
+    once the tail (the larger of the last two coefficients, in the max
+    norm, over the largest) is at most SERIES_TAIL_TOL, or at
+    SERIES_MAX_DEGREE; converged says which.  The series and its
+    derivative are evaluated by Clenshaw's recurrence (chebval), whose
+    operations are elementwise in w, so a w's value does not depend on
+    its batch.
+    """
+
+    def __init__(self, lo: float, hi: float, coeffs: np.ndarray):
+        self.lo, self.hi, self.coeffs = lo, hi, coeffs
+        size = np.max(np.abs(coeffs.reshape(len(coeffs), -1)), axis=1)
+        self.tail = float(max(size[-2], size[-1]) / size.max())
+        self.converged = self.tail <= SERIES_TAIL_TOL
+        self._dcoeffs = chebyshev.chebder(coeffs, scl=2.0 / (hi - lo), axis=0)
+
+    @property
+    def nodes(self) -> int:
+        return len(self.coeffs)
+
+    @classmethod
+    def fit(cls, f: Callable, lo: float, hi: float) -> "ChebyshevSeries":
+        """The series of f, which maps a 1-D array of w to a stack."""
+        n = SERIES_DEGREE
+        values = f(cls._points(lo, hi, n, np.arange(n + 1)))
+        while True:
+            coeffs = dct(values, type=1, axis=0) / n
+            coeffs[[0, n]] *= 0.5
+            series = cls(lo, hi, coeffs)
+            if series.converged or n >= SERIES_MAX_DEGREE:
+                return series
+            doubled = np.empty((2 * n + 1,) + values.shape[1:])
+            doubled[::2] = values
+            doubled[1::2] = f(cls._points(lo, hi, 2 * n, np.arange(1, 2 * n, 2)))
+            values, n = doubled, 2 * n
+
+    @staticmethod
+    def _points(lo: float, hi: float, n: int, k: np.ndarray) -> np.ndarray:
+        return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * k / n)
+
+    def _sum(self, coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # x is exactly -1 and 1 at the ends
+        x = ((w - self.lo) - (self.hi - w)) / (self.hi - self.lo)
+        return np.ascontiguousarray(np.moveaxis(chebyshev.chebval(x, coeffs), -1, 0))
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        return self._sum(self.coeffs, w)
+
+    def deriv(self, w: np.ndarray) -> np.ndarray:
+        return self._sum(self._dcoeffs, w)
 
 
 class Profile:
@@ -226,10 +302,12 @@ class OperatorFamily:
 
     An affine family keeps its profile spline w^ as profile (None for a
     table family).  When w^ is increasing, profile_path is the path
-    w -> F(w) over [w^(s_min), w^(s_max)], evaluated from the same
-    increment table, so return_data_at(s) is F(w^(s)) and
-    spectral_flow_matrix scans the profile path at W_SCAN_INTERVALS
-    intervals instead of return_path at 512.
+    w -> F(w) over [w^(s_min), w^(s_max)], where return_data_at(s) is
+    F(w^(s)), and spectral_flow_matrix scans it at W_SCAN_INTERVALS
+    intervals instead of return_path at 512.  That path is the Chebyshev
+    series profile_series, fitted once from the same increment table
+    with as many nodes as its tail needs, or F itself when the tail has
+    not converged by SERIES_MAX_DEGREE (module notes).
     """
 
     def __init__(self, dims: Dimensions, s_grid: np.ndarray, s_table: np.ndarray,
@@ -341,22 +419,35 @@ class OperatorFamily:
         return SymplecticPath((self.s_min, self.s_max), evaluate,
                               jmat=dims.j_ext(), sample_hint=512)
 
-    def profile_path(self) -> SymplecticPath:
-        """The path w -> F(w) over [w^(s_min), w^(s_max)] (module notes).
+    def _profile_values(self, w: np.ndarray) -> np.ndarray:
+        """F(w) from the increment table, _S_CHUNK values of w at a time."""
+        return assemble_blocks(self.dims, *_in_chunks(self._increments.return_data, w))
 
-        Only for a family whose profile is increasing; F(w^(s)) is
-        return_path at s.  Evaluated in _S_CHUNK blocks of w.
+    @cached_property
+    def profile_series(self) -> ChebyshevSeries:
+        """The Chebyshev series of F over [w^(s_min), w^(s_max)], fitted once.
+
+        Only for a family whose profile is increasing (module notes).
         """
         if self.profile is None or not self.profile.increasing:
             raise InvalidInput("profile_path needs an affine family with an "
                                "increasing profile")
-        dims = self.dims
+        return ChebyshevSeries.fit(self._profile_values, float(self.profile.w[0]),
+                                   float(self.profile.w[-1]))
 
-        def evaluate(w):
-            return assemble_blocks(dims, *_in_chunks(self._increments.return_data, w))
+    def profile_path(self) -> SymplecticPath:
+        """The path w -> F(w) over [w^(s_min), w^(s_max)] (module notes).
 
-        return SymplecticPath((float(self.profile.w[0]), float(self.profile.w[-1])),
-                              evaluate, jmat=dims.j_ext())
+        Only for a family whose profile is increasing; F(w^(s)) is
+        return_path at s.  The path is profile_series, with the series'
+        derivative, when its tail converged; otherwise it is F itself,
+        from the increment table.
+        """
+        series = self.profile_series
+        domain = (series.lo, series.hi)
+        if series.converged:
+            return SymplecticPath(domain, series, series.deriv, jmat=self.dims.j_ext())
+        return SymplecticPath(domain, self._profile_values, jmat=self.dims.j_ext())
 
     @classmethod
     def from_asymptotes(cls, left: OperatorCoefficients,
@@ -626,20 +717,28 @@ def spectral_flow_matrix(fam: OperatorFamily, tol_sv: float = FLOW_TOL_SV
     with the default profile) is scanned in w: its profile_path w ->
     F(w) at W_SCAN_INTERVALS intervals, which has the same flow as
     s -> M(s) = F(w^(s)) because flow does not change under a monotone
-    reparametrization.  Each crossing w* is reported at the s* with
-    w^(s*) = w*, with path form w^'(s*) times its form in w; the kernel
-    basis and signature carry over since w^' > 0.  Any other family is
-    scanned in s, on return_path at its 512 intervals.  details["scan"]
-    says which ("w" or "s"): it is the parameter of the crossing
-    instants in details["index"].
+    reparametrization.  That path is the Chebyshev series of F, whose
+    node count doubles from SERIES_DEGREE + 1 until its tail is below
+    SERIES_TAIL_TOL, or F itself if that fails by SERIES_MAX_DEGREE.
+    Each crossing w* is reported at the s* with w^(s*) = w*, with path
+    form w^'(s*) times its form in w; the kernel basis and signature
+    carry over since w^' > 0.  Any other family is scanned in s, on
+    return_path at its 512 intervals.  details["scan"] says which ("w"
+    or "s"): it is the parameter of the crossing instants in
+    details["index"].  A w-scan also records details["series_nodes"]
+    (None when F itself was scanned) and details["series_tail"], the
+    series' relative tail.
     """
     _require_nondegenerate("left", fam.left_kernel, tol_sv)
     _require_nondegenerate("right", fam.right_kernel, tol_sv)
     profile = fam.profile if fam.profile is not None and fam.profile.increasing else None
     if profile is None:
-        path, samples = fam.return_path(), None
+        path, samples, details = fam.return_path(), None, {"scan": "s"}
     else:
         path, samples = fam.profile_path(), W_SCAN_INTERVALS
+        series = fam.profile_series
+        details = {"scan": "w", "series_tail": series.tail,
+                   "series_nodes": series.nodes if series.converged else None}
     family = KernelFamily.dual_slot(fam.dims)
     result = rs_index_stratified(path, family, tol_sv=tol_sv, samples=samples,
                                  validate=False)
@@ -657,8 +756,7 @@ def spectral_flow_matrix(fam: OperatorFamily, tol_sv: float = FLOW_TOL_SV
         crossings.append(FlowCrossing(s, rep.kernel_dim, rep.signature,
                                       form, form_blocks, form_reduced))
     return SpectralFlowResult(result.value.as_int(), "matrix", crossings,
-                              details={"index": result,
-                                       "scan": "s" if profile is None else "w"})
+                              details={"index": result, **details})
 
 
 def fourier_profiles(modes: int, thetas: np.ndarray) -> np.ndarray:

@@ -221,6 +221,17 @@ def test_spectralflow_refuses_tolerances(tmp_path, capsys, knob):
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "INVALID_INPUT"
 
 
+@pytest.mark.parametrize("knob,value", [("--tol-sv", "0.3"),
+                                        ("--config", {"tol_eig": 1e-6}),
+                                        ("--config", {"sample_hint": 128})])
+def test_verify_refuses_settings_it_ignores(tmp_path, capsys, knob, value):
+    if knob == "--config":
+        value = _write(tmp_path, "cfg.json", value)
+    rc = main(["verify", "roundtrip", "--count", "1", "--json", knob, value])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "INVALID_INPUT"
+
+
 def test_verify_roundtrip_subcommand(capsys):
     rc = main(["verify", "roundtrip", "--count", "2", "--json", "--seed", "1"])
     assert rc == 0

@@ -5,12 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from sympind import (HalfInteger, KernelFamily, catenate, direct_sum,
-                     conjugate, exp_path, exp_shear_path, loop_multiply,
-                     perturb_stratified, reverse, rs_index,
-                     rs_index_stratified, snm_index)
-from sympind.errors import ContainmentError
+from sympind import (HalfInteger, KernelFamily, SymplecticPath, catenate,
+                     constant_path, direct_sum, conjugate, exp_path,
+                     exp_shear_path, loop_multiply, perturb_stratified, reverse,
+                     rs_index, rs_index_stratified, snm_index)
+from sympind.errors import (ContainmentError, JunctionMismatch, RankDrift,
+                            SymplecticityLoss)
 from sympind.linalg import ExpCurve, random_orthogonal, standard_j
+from sympind.paths import constant_stack
 from sympind.snm import dual_slot_basis
 from sympind.suites import stratified_corpus
 
@@ -168,3 +170,30 @@ def test_index_call_evaluates_its_scan_grid_once(counted):
                               validate=True)
     assert res.value == snm_index(shear).value
     assert sizes.count(path.sample_hint + 1) == 1
+
+
+# --- documented error codes, reached through the public API ---------------
+
+def test_catenating_paths_whose_ends_differ_is_refused():
+    with pytest.raises(JunctionMismatch) as exc:
+        catenate(_rotation(1.0), _rotation(1.0, offset=0.5))
+    assert exc.value.code == "JUNCTION_MISMATCH"
+
+
+def test_index_of_a_path_off_the_group_is_refused():
+    rot = _rotation(1.0)
+    doubled = SymplecticPath(rot.domain, lambda t: 2.0 * rot(t), jmat=J2)
+    with pytest.raises(SymplecticityLoss) as exc:
+        rs_index_stratified(doubled, KernelFamily.constant(np.zeros((2, 0)), J2))
+    assert exc.value.code == "SYMPLECTICITY_LOSS"
+
+
+def test_family_of_the_wrong_symplectic_rank_is_refused():
+    # ker(I - I) is all of R^4; span(e_q1, e_p1) has omega-rank 2, not 0
+    j4 = standard_j(2)
+    frame = np.eye(4)[:, [0, 2]]
+    assert np.linalg.matrix_rank(frame.T @ j4 @ frame) == 2
+    family = KernelFamily(lambda t: constant_stack(frame, t), 2, 0)
+    with pytest.raises(RankDrift) as exc:
+        rs_index_stratified(constant_path(np.eye(4), jmat=j4), family, validate=True)
+    assert exc.value.code == "RANK_DRIFT"

@@ -259,8 +259,9 @@ def test_non_monotone_profile_keeps_the_s_scan():
 
 
 def test_w_scan_propagates_fewer_rows(monkeypatch):
-    # family 1003: 159 w-values through the increment table (546 for the
-    # s-scan, whose grid alone has 513)
+    # family 1003: the 17 series nodes and the 3 finite-difference rows of
+    # its one crossing go through the increment table (159 rows for a scan
+    # of the exact w-path, 546 for the s-scan, whose grid alone has 513)
     rows = []
     real = coefficients.AffineIncrements.return_data
 
@@ -271,7 +272,44 @@ def test_w_scan_propagates_fewer_rows(monkeypatch):
     fam = random_operator_family(Dimensions(2, 2), seed=1003)
     monkeypatch.setattr(coefficients.AffineIncrements, "return_data", counting)
     spectral_flow_matrix(fam)
-    assert sum(rows) == 159
+    assert sum(rows) == 20
+
+
+@pytest.mark.parametrize("seed,dims", _SCAN_FAMILIES)
+def test_profile_series_matches_the_exact_path(seed, dims):
+    # F is entire in w, so its series agrees with F to rounding on the scan
+    # grid, and the series' derivative with F's central differences
+    fam = (split_tanh_family(alpha=ALPHA) if seed is None
+           else random_operator_family(dims, seed=seed))
+    path = fam.profile_path()
+    w = np.linspace(*path.domain, specflow.W_SCAN_INTERVALS + 1)
+    exact = fam._profile_values(w)
+    assert np.max(np.abs(path(w) - exact)) <= 1e-12 * np.max(np.abs(exact))
+    h = specflow.FD_S_FACTOR * (path.domain[1] - path.domain[0])
+    inner = w[1:-1]
+    central = (fam._profile_values(inner + h) - fam._profile_values(inner - h)) / (2 * h)
+    assert np.max(np.abs(path.deriv(inner) - central)) <= 1e-6
+
+
+def test_unconverged_series_falls_back_to_the_exact_path(monkeypatch):
+    # family 1002 has two crossings; with no tail small enough the series
+    # is refitted up to its cap and the scan runs on F itself
+    dims = Dimensions(1, 2)
+    res = spectral_flow_matrix(random_operator_family(dims, seed=1002))
+    assert res.details["series_nodes"] == specflow.SERIES_DEGREE + 1
+    assert res.details["series_tail"] <= specflow.SERIES_TAIL_TOL
+    monkeypatch.setattr(specflow, "SERIES_TAIL_TOL", 0.0)
+    fam = random_operator_family(dims, seed=1002)
+    exact = spectral_flow_matrix(fam)
+    assert fam.profile_series.nodes == specflow.SERIES_MAX_DEGREE + 1
+    assert exact.details["series_nodes"] is None
+    assert exact.details["series_tail"] > 0.0
+    assert exact.value == res.value
+    assert ([(c.kernel_dim, c.signature) for c in exact.crossings]
+            == [(c.kernel_dim, c.signature) for c in res.crossings])
+    assert len(res.crossings) == 2
+    for got, ref in zip(exact.crossings, res.crossings):
+        assert abs(got.s - ref.s) <= 1e-10
 
 
 def test_generator_skips_asymptotes_in_the_ambiguous_band():

@@ -12,7 +12,9 @@ Batteries:
   (or of the first failing one).
 * ``main-theorem``: ``suite_main_theorem(seed)`` (default seeds 1-12).  Each
   family keeps its verdict, both flows, the two asymptote indices and the
-  number of crossings.
+  number of crossings.  The node counts of the families' Chebyshev series
+  (``fallback`` where the scan ran on the exact path) are tallied on
+  stderr, outside the JSON and its comparison.
 
 The result is deterministic JSON.  The script exits 1 when any entry it
 computed differs from ``tools/seed_sweep_baseline.json`` (entries the
@@ -26,7 +28,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
+from functools import partial
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -52,11 +57,15 @@ def sweep_axioms(seeds: range) -> dict:
     return out
 
 
-def sweep_main_theorem(seeds: range) -> dict:
+def sweep_main_theorem(seeds: range, tally: Optional[Counter] = None) -> dict:
+    """The battery's entries; tally, if given, counts each w-scan's series nodes."""
     out = {}
     for seed in seeds:
         res = suites.suite_main_theorem(seed)
         for i, (check, report) in enumerate(zip(res.checks, res.payload)):
+            details = report.flow_matrix.details
+            if tally is not None and details["scan"] == "w":
+                tally[details["series_nodes"] or "fallback"] += 1
             out[f"{seed}:{i}"] = {
                 "passed": check.passed,
                 "matrix": report.flow_matrix.value,
@@ -102,8 +111,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     names = sorted(BATTERIES) if args.battery == "all" else [args.battery]
-    result = {name: BATTERIES[name](_seed_range(args.seeds or DEFAULT_SEEDS[name]))
+    tally = Counter()
+    batteries = dict(BATTERIES, **{"main-theorem": partial(sweep_main_theorem, tally=tally)})
+    result = {name: batteries[name](_seed_range(args.seeds or DEFAULT_SEEDS[name]))
               for name in names}
+    if tally:
+        fallbacks = tally.pop("fallback", 0)
+        nodes = ", ".join(f"{key} x {tally[key]}" for key in sorted(tally)) or "none"
+        print(f"series nodes: {nodes}; fallback x {fallbacks}", file=sys.stderr)
     failed = sum(not e["passed"] for entries in result.values() for e in entries.values())
     if args.out:
         Path(args.out).write_text(dump(result), encoding="utf-8")
