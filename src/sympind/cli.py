@@ -43,6 +43,19 @@ PATH_KINDS = ("constant", "exp_shear", "snm_samples", "dense", "rabinowitz")
 FAMILY_KINDS = ("dense_family", "random_family", "split_tanh")
 SYSTEM_NAMES = ("split", "rabinowitz_flat", "quadratic")
 
+# The numerical RunConfig fields each command reads ("verify main-theorem"
+# overrides "verify"); a non-default value of any other reaches nothing
+# and is refused.  The suites and both flows run at their own tolerances.
+_TUNING_FIELDS = ("tol_sv", "tol_eig", "tol_crit", "sample_hint", "fourier_modes")
+_READS = {
+    "index": ("tol_sv", "tol_eig", "sample_hint"),
+    "paramindex": ("tol_sv", "tol_eig", "tol_crit", "sample_hint"),
+    "spectralflow": ("sample_hint", "fourier_modes"),
+    "verify": (),
+    "verify main-theorem": ("fourier_modes",),
+    "rabinowitz": ("tol_sv",),
+}
+
 
 # --- file ingestion ---------------------------------------------------------
 
@@ -235,12 +248,6 @@ def _cmd_paramindex(args: argparse.Namespace, cfg: RunConfig) -> Tuple[List[str]
 
 
 def _cmd_spectralflow(args: argparse.Namespace, cfg: RunConfig) -> Tuple[List[str], dict, int]:
-    default = RunConfig()
-    if (cfg.tol_sv, cfg.tol_eig) != (default.tol_sv, default.tol_eig):
-        # both flows run at their own tolerances, which no knob reaches
-        raise InvalidInput(
-            "spectralflow takes no tolerances: leave --tol-sv and the "
-            "config's tol_sv and tol_eig at their defaults")
     fam = _load_family_file(args.family_file, cfg)
     flow_m = spectral_flow_matrix(fam)
     flow_g = spectral_flow_galerkin(fam, modes=cfg.fourier_modes)
@@ -260,14 +267,6 @@ def _cmd_spectralflow(args: argparse.Namespace, cfg: RunConfig) -> Tuple[List[st
 
 
 def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> Tuple[List[str], dict, int]:
-    default = RunConfig()
-    fixed = [name for name in ("tol_sv", "tol_eig", "sample_hint")
-             if getattr(cfg, name) != getattr(default, name)]
-    if fixed:
-        # every suite runs at its own tolerances and grids, which no knob reaches
-        raise InvalidInput(
-            f"verify takes no {', '.join(fixed)}: leave --tol-sv and the "
-            "config's tol_sv, tol_eig and sample_hint at their defaults")
     overrides = {}
     if args.count is not None:
         key = {"axioms": "instances", "roundtrip": "count",
@@ -371,6 +370,19 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg.replace(**changes) if changes else cfg
 
 
+def _refuse_unread(args: argparse.Namespace, cfg: RunConfig) -> None:
+    """Raise InvalidInput for a non-default field the command never reads."""
+    command = args.command
+    reads = _READS.get(f"{command} {getattr(args, 'suite', '')}", _READS[command])
+    default = RunConfig()
+    unread = [name for name in _TUNING_FIELDS
+              if name not in reads and getattr(cfg, name) != getattr(default, name)]
+    if unread:
+        raise InvalidInput(
+            f"{command} does not read {', '.join(unread)}: leave them at their "
+            "defaults (--tol-sv, --modes and the config file set them)")
+
+
 def _emit(lines: List[str], obj: dict, cfg: RunConfig) -> None:
     if cfg.output_format == "json":
         body = {"format": JSON_FORMAT, "seed": cfg.seed}
@@ -396,6 +408,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     json_mode = bool(getattr(args, "json", False))
     try:
         cfg = _resolve_config(args)
+        _refuse_unread(args, cfg)
         lines, obj, code = args.handler(args, cfg)
     except SympindError as exc:
         _emit_error(exc, json_mode)

@@ -28,7 +28,7 @@ formed in batched products, and each step then costs one product.
 Delta_i has degree 4 in K (see _step_increments).  So for an affine
 generator K0 + w K1 it is a polynomial of degree exactly 4 in the
 scalar w, and AffineIncrements tabulates it once, at 5 Chebyshev nodes
-of an interval holding every w it will be asked for; the increments
+of [0, 1], which holds every w it will be asked for; the increments
 at any w are then a Lagrange combination of the table, and no K table
 is built per w.  That combination runs one stacked product per w: a
 single 2-D product over the batch would round differently with the
@@ -346,18 +346,15 @@ class AffineIncrements:
     """The step increments of the generator K0 + w K1, tabulated in w.
 
     Delta(w) is a polynomial of degree 4 in w (see the module notes), so
-    its values at 5 Chebyshev nodes of the interval [lo, hi] determine
-    it; [lo, hi] should hold every w asked for, where the Lagrange
-    weights stay small.  The table (5, N, 2n+m, 2n+m) is built once,
-    from the K tables nodes (2, N+1, ...) and mids (2, N, ...) of K0
-    and K1.
+    its values at 5 Chebyshev nodes of [0, 1] determine it; [0, 1]
+    should hold every w asked for, where the Lagrange weights stay small.
+    The table (5, N, 2n+m, 2n+m) is built once, from the K tables nodes
+    (2, N+1, ...) and mids (2, N, ...) of K0 and K1.
     """
 
-    def __init__(self, dims: Dimensions, nodes: np.ndarray, mids: np.ndarray,
-                 lo: float, hi: float):
+    def __init__(self, dims: Dimensions, nodes: np.ndarray, mids: np.ndarray):
         j = np.arange(_AFFINE_NODES)
-        self.w_nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(
-            (2 * j + 1) * np.pi / (2 * _AFFINE_NODES))
+        self.w_nodes = 0.5 + 0.5 * np.cos((2 * j + 1) * np.pi / (2 * _AFFINE_NODES))
         gaps = self.w_nodes[:, None] - self.w_nodes[None, :]
         np.fill_diagonal(gaps, 1.0)
         self._bary = 1.0 / np.prod(gaps, axis=1)

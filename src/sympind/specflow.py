@@ -31,18 +31,20 @@ step increments are tabulated once and combined per s instead.
 Each end's kernel is integrated once per family and shared by the
 generator's retry, spectral_flow_matrix and main_theorem_check.
 
-Such a family's return path is M(s) = F(w^(s)), where w^ is the spline
-of its scalar profile and F(w) is the return matrix of K(left) +
-w K(right - left).  Spectral flow does not change under a monotone
+With its ends fixed, spectral flow is a homotopy invariant, so the
+profile blending two asymptotes cannot change any flow: every family
+between two asymptotes shares one, the spline w^ of (1 + tanh s)/2 on
+the fixed s-grid, which is increasing.  Its return path is M(s) =
+F(w^(s)), where F(w) is the return matrix of K(left) + w K(right -
+left).  Spectral flow does not change under a monotone
 reparametrization (Robbin and Salamon, Bull. LMS 27 (1995); Phillips,
-Canad. Math. Bull. 39 (1996)), so when w^ is increasing
-spectral_flow_matrix scans w -> F(w) over [w^(s_min), w^(s_max)] at
-W_SCAN_INTERVALS intervals instead of s -> M(s) at 512.  Each crossing
-w* goes back to the s* with w^(s*) = w* (Brent's method on its spline
-piece) and its path form to w^'(s*) times the form in w; the displayed
-forms are computed in s as before, from finite differences of the
-return data, so they check the path form independently.  Table families
-and profiles that are not increasing are scanned in s.
+Canad. Math. Bull. 39 (1996)), so spectral_flow_matrix scans w -> F(w)
+over [w^(s_min), w^(s_max)] at W_SCAN_INTERVALS intervals instead of
+s -> M(s) at 512.  Each crossing w* goes back to the s* with w^(s*) =
+w* (Brent's method on its spline piece) and its path form to w^'(s*)
+times the form in w; the displayed forms are computed in s as before,
+from finite differences of the return data, so they check the path
+form independently.  Table families are scanned in s.
 
 F solves a linear ODE whose coefficients are affine in w, so it is
 entire in w and its Chebyshev coefficients on the w-interval decay
@@ -59,7 +61,7 @@ propagations as the scan grid, the scan runs on F itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -208,15 +210,14 @@ class ChebyshevSeries:
 
 
 class Profile:
-    """The spline w^ of a from_asymptotes family's scalar profile.
+    """The spline w^ of profile samples w_i on an s-grid.
 
-    w^ is the not-a-knot cubic spline of the profile samples w_i on the
-    family's s-grid, evaluated piece by piece with the cubic Hermite
-    weights of _hermite; each piece lies in the hull of its Bezier
-    control points (w_i, w_i + h m_i / 3, w_i+1 - h m_i+1 / 3, w_i+1),
-    with node slopes m_i and step h.  w^ is increasing when the w_i are
-    strictly increasing and every piece's control points are
-    non-decreasing; only then is it inverted.
+    w^ is the not-a-knot cubic spline of the w_i, evaluated piece by
+    piece with the cubic Hermite weights of _hermite; each piece lies in
+    the hull of its Bezier control points (w_i, w_i + h m_i / 3,
+    w_i+1 - h m_i+1 / 3, w_i+1), with node slopes m_i and step h.  It is
+    inverted piece by piece, so the w_i and every piece's control points
+    must increase, as they do for the shared profile (_shared_profile).
     """
 
     def __init__(self, s_grid: np.ndarray, w: np.ndarray):
@@ -225,8 +226,6 @@ class Profile:
         step = np.diff(s_grid)
         self.control = np.stack([w[:-1], w[:-1] + step * self.slopes[:-1] / 3.0,
                                  w[1:] - step * self.slopes[1:] / 3.0, w[1:]], axis=1)
-        self.increasing = bool(np.all(np.diff(w) > 0.0)
-                               and np.all(np.diff(self.control, axis=1) >= 0.0))
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         """w^ at a 1-D array of s, frozen outside the grid."""
@@ -248,7 +247,7 @@ class Profile:
         return float(self(np.array([s]))[0]) - w_star
 
     def inverse(self, w_star: float) -> float:
-        """The s with w^(s) = w_star, for an increasing w^.
+        """The s with w^(s) = w_star.
 
         Brent's method runs on the piece whose end values bracket w_star;
         w^ is exactly w_i at the node s_i, so the bracket holds.
@@ -259,6 +258,22 @@ class Profile:
         return float(brentq(self._gap, self.s_grid[i], self.s_grid[i + 1],
                             args=(w_star,), xtol=4 * np.finfo(float).eps,
                             maxiter=200))
+
+
+@cache
+def _shared_profile() -> Profile:
+    """The spline of (1 + tanh s)/2 on the S_COUNT-point grid of [-S_SPAN, S_SPAN].
+
+    Built once and shared by every from_asymptotes family, so its arrays
+    are read-only.  Its node steps are at least 6.2e-15 and its control
+    point steps at least 1.6e-15, so it increases on every piece, and
+    its control points lie in [1.3e-14, 1 - 1.3e-14].
+    """
+    s_grid = np.linspace(-S_SPAN, S_SPAN, S_COUNT)
+    profile = Profile(s_grid, 0.5 * (1.0 + np.tanh(s_grid)))
+    for arr in (profile.s_grid, profile.w, profile.slopes, profile.control):
+        arr.flags.writeable = False
+    return profile
 
 
 class OperatorFamily:
@@ -282,7 +297,7 @@ class OperatorFamily:
       interval containing s, so each s combines four sets;
     * from_asymptotes, whose tables are left + w(s_i) (right - left),
       keeps the two sets (left, right - left) with u(s) = (1, w^(s)),
-      where w^ is the spline of the scalar profile w.
+      where w^ is the spline of the shared profile w (module notes).
 
     The sums run term by term in a fixed order with elementwise
     operations, so an s value's K tables, and its return data, do not
@@ -293,21 +308,21 @@ class OperatorFamily:
 
     An affine family's K(s) = K(left) + w^(s) K(right - left) has RK4
     step increments of degree 4 in w^ (coefficients.AffineIncrements).
-    They are tabulated once, here, at 5 Chebyshev nodes of an interval
-    holding [0, 1] and the whole range of w^, and return_data_at
-    combines them with each s value's Lagrange weights, one stacked
-    product per s so that the batch does not change the rounding; the
-    affine family keeps no midpoint tables and builds no K tables per s.
-    Each end's AsymptoticKernel is integrated once, on first use.
+    They are tabulated once, here, at 5 Chebyshev nodes of [0, 1], which
+    holds the whole range of w^, and return_data_at combines them with
+    each s value's Lagrange weights, one stacked product per s so that
+    the batch does not change the rounding; the affine family keeps no
+    midpoint tables and builds no K tables per s.  Each end's
+    AsymptoticKernel is integrated once, on first use.
 
-    An affine family keeps its profile spline w^ as profile (None for a
-    table family).  When w^ is increasing, profile_path is the path
-    w -> F(w) over [w^(s_min), w^(s_max)], where return_data_at(s) is
-    F(w^(s)), and spectral_flow_matrix scans it at W_SCAN_INTERVALS
-    intervals instead of return_path at 512.  That path is the Chebyshev
-    series profile_series, fitted once from the same increment table
-    with as many nodes as its tail needs, or F itself when the tail has
-    not converged by SERIES_MAX_DEGREE (module notes).
+    An affine family keeps the shared profile spline w^ as profile (None
+    for a table family).  profile_path is the path w -> F(w) over
+    [w^(s_min), w^(s_max)], where return_data_at(s) is F(w^(s)), and
+    spectral_flow_matrix scans it at W_SCAN_INTERVALS intervals instead
+    of return_path at 512.  That path is the Chebyshev series
+    profile_series, fitted once from the same increment table with as
+    many nodes as its tail needs, or F itself when the tail has not
+    converged by SERIES_MAX_DEGREE (module notes).
     """
 
     def __init__(self, dims: Dimensions, s_grid: np.ndarray, s_table: np.ndarray,
@@ -341,9 +356,8 @@ class OperatorFamily:
         weights maps an array of s values to the set indices and weights
         (idx, u) that _combine takes.  An affine family passes its
         profile spline w^; its midpoint tables then go into an increment
-        table over an interval holding [0, 1] and the hull of w^, and are
-        not kept.  The sets themselves are not kept: coefficients_at
-        reads them back from the node tables.
+        table over [0, 1] and are not kept.  The sets themselves are not
+        kept: coefficients_at reads them back from the node tables.
         """
         self.dims = dims
         self.s_grid = s_grid
@@ -355,9 +369,7 @@ class OperatorFamily:
             self._mids, self._increments = mids, None
         else:
             self._mids = None
-            self._increments = AffineIncrements(
-                dims, self._nodes, mids, min(0.0, float(profile.control.min())),
-                max(1.0, float(profile.control.max())))
+            self._increments = AffineIncrements(dims, self._nodes, mids)
 
     @property
     def s_min(self) -> float:
@@ -427,21 +439,19 @@ class OperatorFamily:
     def profile_series(self) -> ChebyshevSeries:
         """The Chebyshev series of F over [w^(s_min), w^(s_max)], fitted once.
 
-        Only for a family whose profile is increasing (module notes).
+        Only for an affine family (module notes).
         """
-        if self.profile is None or not self.profile.increasing:
-            raise InvalidInput("profile_path needs an affine family with an "
-                               "increasing profile")
+        if self.profile is None:
+            raise InvalidInput("profile_path needs a from_asymptotes family")
         return ChebyshevSeries.fit(self._profile_values, float(self.profile.w[0]),
                                    float(self.profile.w[-1]))
 
     def profile_path(self) -> SymplecticPath:
         """The path w -> F(w) over [w^(s_min), w^(s_max)] (module notes).
 
-        Only for a family whose profile is increasing; F(w^(s)) is
-        return_path at s.  The path is profile_series, with the series'
-        derivative, when its tail converged; otherwise it is F itself,
-        from the increment table.
+        Only for an affine family; F(w^(s)) is return_path at s.  The
+        path is profile_series, with the series' derivative, when its tail
+        converged; otherwise it is F itself, from the increment table.
         """
         series = self.profile_series
         domain = (series.lo, series.hi)
@@ -451,45 +461,31 @@ class OperatorFamily:
 
     @classmethod
     def from_asymptotes(cls, left: OperatorCoefficients,
-                        right: OperatorCoefficients,
-                        profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
-                        ) -> "OperatorFamily":
+                        right: OperatorCoefficients) -> "OperatorFamily":
         """Monotone interpolation between two frozen asymptotes.
 
-        The family's tables are left + w(s_i) (right - left); they are
-        never built.  The default profile (1 + tanh s)/2 is flat to below
-        1e-9 on the outer 10% of the grid [-S_SPAN, S_SPAN], and its
-        spline is increasing, so the family is scanned in w.
+        The family's tables are left + w(s_i) (right - left), with w the
+        shared profile (1 + tanh s)/2 on [-S_SPAN, S_SPAN]; they are never
+        built.  The family is scanned in w (module notes).
         """
         if left.dims != right.dims or left.n_theta != right.n_theta:
             raise InvalidInput("asymptotes must share dimensions and grid")
-        s_grid = np.linspace(-S_SPAN, S_SPAN, S_COUNT)
-        w = 0.5 * (1.0 + np.tanh(s_grid)) if profile is None else profile(s_grid)
-        w = np.asarray(w, dtype=float)
         sets = tuple(np.stack([a, b - a]) for a, b in ((left.s, right.s),
                                                         (left.c, right.c),
                                                         (left.d, right.d)))
-        _validate_profile(w, sets)
-        profile = Profile(s_grid, w)
+        # No edge check (_validate_tables): w moves by 7.6e-12 over each
+        # outer 17 samples, so a table a + w b drifts there by at most
+        # 7.6e-12 max|b| <= 1.6e-11 size, below ASYMPTOTE_TOL max(1, size)
+        # for any asymptotes, NaN and inf included.
+        profile = _shared_profile()
 
         def weights(s):
             w_s = profile(s)
             return np.array([0, 1]), np.stack([np.ones_like(w_s), w_s], axis=1)
 
         fam = cls.__new__(cls)
-        fam._set_basis(left.dims, s_grid, sets, weights, profile)
+        fam._set_basis(left.dims, profile.s_grid, sets, weights, profile)
         return fam
-
-
-def _edge_count(ns: int) -> int:
-    return max(2, int(np.ceil(EDGE_FRACTION * ns)))
-
-
-def _check_edge_drift(name: str, drift: float, scale: float) -> None:
-    if drift > ASYMPTOTE_TOL * scale:
-        raise InvalidInput(
-            f"{name} not asymptotically constant: edge drift "
-            f"{drift:.3e} exceeds {ASYMPTOTE_TOL:.1e}")
 
 
 def _validate_tables(tables) -> None:
@@ -499,32 +495,16 @@ def _validate_tables(tables) -> None:
             dev = float(np.max(np.abs(arr - np.swapaxes(arr, -1, -2))))
             if dev > 1e-8 * max(1.0, float(np.max(np.abs(arr)))):
                 raise InvalidInput(f"{name} table asymmetric by {dev:.3e}")
-    edge = _edge_count(len(tables[0]))
+    edge = max(2, int(np.ceil(EDGE_FRACTION * len(tables[0]))))
     for name, arr in zip("SCD", tables):
         if arr.size:
             scale = max(1.0, float(np.max(np.abs(arr))))
-            lo = float(np.max(np.abs(arr[:edge] - arr[0])))
-            hi = float(np.max(np.abs(arr[-edge:] - arr[-1])))
-            _check_edge_drift(name, max(lo, hi), scale)
-
-
-def _validate_profile(w: np.ndarray, sets) -> None:
-    """The edge check of _validate_tables for tables a + w(s_i) b.
-
-    Each entry of such a table is affine in w, so its drift over an edge
-    is the profile's drift times |b|, and its largest size is reached at
-    the smallest or the largest w.  The sets come from symmetric
-    OperatorCoefficients, so the tables are symmetric.
-    """
-    edge = _edge_count(len(w))
-    drift = max(float(np.max(np.abs(w[:edge] - w[0]))),
-                float(np.max(np.abs(w[-edge:] - w[-1]))))
-    for name, (a, b) in zip("SCD", sets):
-        if a.size:
-            size = max(float(np.max(np.abs(a + w_end * b)))
-                       for w_end in (w.min(), w.max()))
-            _check_edge_drift(name, drift * float(np.max(np.abs(b))),
-                              max(1.0, size))
+            drift = max(float(np.max(np.abs(arr[:edge] - arr[0]))),
+                        float(np.max(np.abs(arr[-edge:] - arr[-1]))))
+            if drift > ASYMPTOTE_TOL * scale:
+                raise InvalidInput(
+                    f"{name} not asymptotically constant: edge drift "
+                    f"{drift:.3e} exceeds {ASYMPTOTE_TOL:.1e}")
 
 
 def random_trig_samples(rng: np.random.Generator, n_theta: int, shape,
@@ -713,16 +693,15 @@ def spectral_flow_matrix(fam: OperatorFamily, tol_sv: float = FLOW_TOL_SV
                          ) -> SpectralFlowResult:
     """Spectral flow as the stratified index of the endpoint-matrix path.
 
-    A family with an increasing profile w^ (every from_asymptotes family
-    with the default profile) is scanned in w: its profile_path w ->
-    F(w) at W_SCAN_INTERVALS intervals, which has the same flow as
-    s -> M(s) = F(w^(s)) because flow does not change under a monotone
-    reparametrization.  That path is the Chebyshev series of F, whose
+    A from_asymptotes family, whose profile w^ is increasing, is scanned
+    in w: its profile_path w -> F(w) at W_SCAN_INTERVALS intervals, which
+    has the same flow as s -> M(s) = F(w^(s)) because flow does not
+    change under a monotone reparametrization.  That path is the Chebyshev series of F, whose
     node count doubles from SERIES_DEGREE + 1 until its tail is below
     SERIES_TAIL_TOL, or F itself if that fails by SERIES_MAX_DEGREE.
     Each crossing w* is reported at the s* with w^(s*) = w*, with path
     form w^'(s*) times its form in w; the kernel basis and signature
-    carry over since w^' > 0.  Any other family is scanned in s, on
+    carry over since w^' > 0.  A table family is scanned in s, on
     return_path at its 512 intervals.  details["scan"] says which ("w"
     or "s"): it is the parameter of the crossing instants in
     details["index"].  A w-scan also records details["series_nodes"]
@@ -731,7 +710,7 @@ def spectral_flow_matrix(fam: OperatorFamily, tol_sv: float = FLOW_TOL_SV
     """
     _require_nondegenerate("left", fam.left_kernel, tol_sv)
     _require_nondegenerate("right", fam.right_kernel, tol_sv)
-    profile = fam.profile if fam.profile is not None and fam.profile.increasing else None
+    profile = fam.profile
     if profile is None:
         path, samples, details = fam.return_path(), None, {"scan": "s"}
     else:
@@ -812,26 +791,35 @@ def galerkin_matrix(coeffs: OperatorCoefficients, modes: int) -> np.ndarray:
     return sym_part(out)
 
 
-def _galerkin_negatives(coeffs: OperatorCoefficients, modes: int,
-                        tol_eig: float) -> int:
-    ine = inertia(galerkin_matrix(coeffs, modes), tol_eig)
-    if ine.zero:
-        raise TruncationUnstable(
-            "near-zero Galerkin eigenvalue at an asymptote; the endpoint "
-            "operator must be invertible (raise modes or fix the family)")
-    return ine.negative
+def _galerkin_negatives(coeffs: OperatorCoefficients, modes: int, wide: int,
+                        tol_eig: float) -> dict:
+    """Negative inertia of the form at modes and at wide >= modes, by K.
+
+    The matrix is assembled once, at wide; the modes matrix is its rows
+    and columns of the first 2 modes + 1 profiles and of the parameter
+    block.
+    """
+    full = galerkin_matrix(coeffs, wide)
+    ln = coeffs.dims.loop
+    keep = np.r_[0:(2 * modes + 1) * ln, (2 * wide + 1) * ln:len(full)]
+    negatives = {}
+    for k, mat in ((modes, full[np.ix_(keep, keep)]), (wide, full)):
+        ine = inertia(mat, tol_eig)
+        if ine.zero:
+            raise TruncationUnstable(
+                "near-zero Galerkin eigenvalue at an asymptote; the endpoint "
+                "operator must be invertible (raise modes or fix the family)")
+        negatives[k] = ine.negative
+    return negatives
 
 
 def spectral_flow_galerkin(fam: OperatorFamily, modes: int = GALERKIN_MODES,
                            tol_eig: float = GALERKIN_EIG_TOL) -> SpectralFlowResult:
     """Spectral flow as the endpoint inertia difference, checked at two K."""
-    left = fam.left_asymptote()
-    right = fam.right_asymptote()
     wide = modes + GALERKIN_GAP
-    values = {}
-    for k in (modes, wide):
-        values[k] = (_galerkin_negatives(left, k, tol_eig)
-                     - _galerkin_negatives(right, k, tol_eig))
+    left = _galerkin_negatives(fam.left_asymptote(), modes, wide, tol_eig)
+    right = _galerkin_negatives(fam.right_asymptote(), modes, wide, tol_eig)
+    values = {k: left[k] - right[k] for k in (modes, wide)}
     if values[modes] != values[wide]:
         raise TruncationUnstable(
             f"flow value changed between {modes} and {wide} modes "

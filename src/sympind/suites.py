@@ -112,14 +112,14 @@ class SuiteResult:
 
 
 def _retry_instance(fn: Callable[[np.random.Generator], Tuple[bool, str]],
-                    rng: np.random.Generator, tries: int = 16) -> Tuple[bool, str]:
+                    rng: np.random.Generator) -> Tuple[bool, str]:
     last: Optional[BaseException] = None
-    for _ in range(tries):
+    for _ in range(16):
         try:
             return fn(rng)
         except _REDRAW_ERRORS + (_Redraw,) as exc:
             last = exc
-    return False, f"no usable draw after {tries} tries ({type(last).__name__})"
+    return False, f"no usable draw after 16 tries ({type(last).__name__})"
 
 
 def _exp_product(rng: np.random.Generator, j0: np.ndarray, scale: float):
@@ -143,10 +143,8 @@ def _exp_product(rng: np.random.Generator, j0: np.ndarray, scale: float):
     return value, deriv
 
 
-def random_snm_path(rng: np.random.Generator, dims: Dimensions,
-                    scale: float = 0.9, sample_hint: int = 192,
-                    domain=(0.0, 1.0)) -> SnmPath:
-    """Smooth random subgroup path starting at the identity.
+def random_snm_path(rng: np.random.Generator, dims: Dimensions) -> SnmPath:
+    """Smooth random subgroup path on [0, 1] starting at the identity.
 
     The loop block is a product of two one-parameter symplectic groups
     run at phases t and t^2, the coupling and shear blocks are quadratic
@@ -154,6 +152,7 @@ def random_snm_path(rng: np.random.Generator, dims: Dimensions,
     derivatives are analytic, so crossing forms need no differencing.
     """
     ln, pm = dims.loop, dims.m
+    scale = 0.9
     psi, dpsi = _exp_product(rng, dims.j_loop(), scale)
     x1 = rng.standard_normal((ln, pm)) * scale
     x2 = rng.standard_normal((ln, pm)) * (0.5 * scale)
@@ -172,8 +171,8 @@ def random_snm_path(rng: np.random.Generator, dims: Dimensions,
     def de(t):
         return e1 + (2.0 * t)[:, None, None] * e2
 
-    return SnmPath(dims, psi, x, e, domain=domain, dpsi=dpsi, dx=dx, de=de,
-                   sample_hint=sample_hint)
+    return SnmPath(dims, psi, x, e, domain=(0.0, 1.0), dpsi=dpsi, dx=dx, de=de,
+                   sample_hint=192)
 
 
 def snm_right_translate(path: SnmPath, el: SnmElement) -> SnmPath:
@@ -215,11 +214,10 @@ def snm_right_translate(path: SnmPath, el: SnmElement) -> SnmPath:
                    de=de, sample_hint=path.sample_hint)
 
 
-def random_snm_element(rng: np.random.Generator, dims: Dimensions,
-                       scale: float = 0.9) -> SnmElement:
-    psi = random_symplectic(rng, dims.j_loop(), scale)
-    x = rng.standard_normal((dims.loop, dims.m)) * scale
-    e = random_symmetric(rng, dims.m, scale)
+def random_snm_element(rng: np.random.Generator, dims: Dimensions) -> SnmElement:
+    psi = random_symplectic(rng, dims.j_loop(), 0.9)
+    x = rng.standard_normal((dims.loop, dims.m)) * 0.9
+    e = random_symmetric(rng, dims.m, 0.9)
     return SnmElement(dims, psi, x, e, validate=False)
 
 
@@ -624,15 +622,15 @@ def stratified_corpus(seed: int = 0, count: int = 20) -> List[StratifiedInstance
 
 # --- coefficient round-trips ----------------------------------------------
 
-def suite_roundtrip(seed: int = 0, count: int = 20, n_theta: int = 512) -> SuiteResult:
+def suite_roundtrip(seed: int = 0, count: int = 20) -> SuiteResult:
     res = SuiteResult("roundtrip", seed)
     rng = np.random.default_rng(seed)
     for i in range(count):
         dims = _FAMILY_DIMS[i % len(_FAMILY_DIMS)]
-        coeffs = random_coefficients(dims, rng, n_theta=n_theta)
+        coeffs = random_coefficients(dims, rng)
         pd = path_from_coefficients(coeffs)
         s2, c2, d2 = coefficients_from_path(pd)
-        # Recovered tables live on the closed grid (node n_theta repeats
+        # Recovered tables live on the closed grid (the last node repeats
         # node 0); close the reference tables the same way.
         closed = lambda arr: np.concatenate([arr, arr[:1]], axis=0)
         err = max(float(np.max(np.abs(s2 - closed(coeffs.s)))),

@@ -232,6 +232,45 @@ def test_verify_refuses_settings_it_ignores(tmp_path, capsys, knob, value):
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "INVALID_INPUT"
 
 
+def _command_argv(tmp_path, command):
+    return {
+        "index": lambda: ["index", _shear_file(tmp_path)],
+        "paramindex": lambda: ["paramindex", "split"],
+        "spectralflow": lambda: ["spectralflow", _write(tmp_path, "tanh.json",
+                                                        {"kind": "split_tanh"})],
+        "verify roundtrip": lambda: ["verify", "roundtrip", "--count", "1"],
+        "verify main-theorem": lambda: ["verify", "main-theorem", "--count", "1"],
+        "rabinowitz": lambda: ["rabinowitz", "--lambda", "1.0", "--k1", "-1.0",
+                               "--k2", "0.5"],
+    }[command]()
+
+
+@pytest.mark.parametrize("command,setting", [
+    ("index", {"tol_crit": 1e-5}), ("index", "--modes"),
+    ("paramindex", "--modes"),
+    ("spectralflow", {"tol_crit": 1e-5}),
+    ("verify roundtrip", {"tol_crit": 1e-5}), ("verify roundtrip", "--modes"),
+    ("verify main-theorem", {"tol_crit": 1e-5}),
+    ("rabinowitz", {"tol_crit": 1e-5}), ("rabinowitz", "--modes"),
+    ("rabinowitz", {"tol_eig": 1e-6}), ("rabinowitz", {"sample_hint": 128})])
+def test_commands_refuse_settings_they_do_not_read(tmp_path, capsys, command, setting):
+    argv = _command_argv(tmp_path, command) + ["--json"]
+    if setting == "--modes":
+        argv += ["--modes", "8"]
+    else:
+        argv += ["--config", _write(tmp_path, "cfg.json", setting)]
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "INVALID_INPUT"
+    assert "does not read" in error["message"]
+
+
+def test_paramindex_reads_tol_crit(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {"tol_crit": 1e-5})
+    assert main(["paramindex", "split", "--config", cfg]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "index: -3/2"
+
+
 def test_verify_roundtrip_subcommand(capsys):
     rc = main(["verify", "roundtrip", "--count", "2", "--json", "--seed", "1"])
     assert rc == 0

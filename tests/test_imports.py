@@ -1,4 +1,5 @@
-"""Package modules import their siblings at the top and use every import."""
+"""Package modules import their siblings at the top, use every import, and
+use every private name they define."""
 
 import ast
 from pathlib import Path
@@ -24,7 +25,7 @@ def _used_names(tree: ast.Module) -> set:
     """Names loaded anywhere, including inside string annotations."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         annotations = []
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -61,3 +62,37 @@ def test_sibling_imports_sit_at_module_top(module):
     tree = ast.parse(module.read_text(encoding="utf-8"))
     local = list(_local_relative_imports(tree))
     assert not local, f"{module.name} imports a sibling inside a function: {'; '.join(local)}"
+
+
+def _private_definitions(tree: ast.Module):
+    """Private (single-underscore) names a module defines at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def _package_references() -> set:
+    """Every name the package loads, imports by name, or reads as an attribute."""
+    refs = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        refs |= _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                refs |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+    return refs
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_private_names_are_used(module):
+    tree = ast.parse(module.read_text(encoding="utf-8"))
+    dead = sorted(set(_private_definitions(tree)) - _package_references())
+    assert not dead, f"{module.name} defines but never uses: {', '.join(dead)}"

@@ -103,6 +103,29 @@ def test_galerkin_negative_count_tracks_modes():
         assert int(np.count_nonzero(w < 0)) == 2 * modes
 
 
+@pytest.mark.parametrize("seed,dims", [(1000, Dimensions(1, 1)),
+                                       (1003, Dimensions(2, 2))])
+def test_galerkin_flow_assembles_each_end_once(seed, dims, monkeypatch):
+    # the smaller matrix is a slice of the wider one, so its inertia is
+    # that of the matrix assembled directly at modes
+    fam = random_operator_family(dims, seed=seed)
+    modes = 12
+    want = {k: (inertia(galerkin_matrix(fam.left_asymptote(), k), 1e-8).negative
+                - inertia(galerkin_matrix(fam.right_asymptote(), k), 1e-8).negative)
+            for k in (modes, modes + specflow.GALERKIN_GAP)}
+    calls = []
+    real = specflow.galerkin_matrix
+
+    def counting(coeffs, k):
+        calls.append(k)
+        return real(coeffs, k)
+
+    monkeypatch.setattr(specflow, "galerkin_matrix", counting)
+    res = spectral_flow_galerkin(fam, modes=modes)
+    assert calls == [modes + specflow.GALERKIN_GAP] * 2
+    assert res.details["negatives_by_modes"] == want
+
+
 def test_degenerate_asymptote_found_by_both_methods():
     degenerate = _anchor_coeffs(0.0)
     kern = asymptotic_kernel(degenerate)
@@ -245,12 +268,13 @@ def test_table_family_keeps_the_s_scan():
 
 
 def test_non_monotone_profile_keeps_the_s_scan():
-    # w^ = (1 + tanh s)/2 - s exp(-s^2) passes 1/2 down at s = 0 and up
-    # at s = +-0.95: three crossings of the anchor, flow +1
-    profile = lambda s: 0.5 * (1.0 + np.tanh(s)) - s * np.exp(-s * s)
-    fam = OperatorFamily.from_asymptotes(_anchor_coeffs(-1.0), _anchor_coeffs(1.0),
-                                         profile=profile)
-    assert not fam.profile.increasing
+    # a table family blended by w = (1 + tanh s)/2 - s exp(-s^2), which
+    # passes 1/2 down at s = 0 and up at s = +-0.95: three crossings of
+    # the anchor, flow +1
+    left, right = _anchor_coeffs(-1.0), _anchor_coeffs(1.0)
+    s_grid = np.linspace(-16.0, 16.0, 161)
+    w = 0.5 * (1.0 + np.tanh(s_grid)) - s_grid * np.exp(-s_grid * s_grid)
+    fam = OperatorFamily(left.dims, s_grid, *_blended_tables(left, right, w))
     res = spectral_flow_matrix(fam)
     assert res.details["scan"] == "s" and res.details["index"].samples == 512
     assert res.value == 1
@@ -486,15 +510,26 @@ def test_spectralflow_cli_reads_dense_family_file(tmp_path, capsys):
     assert body["matrix"] == 1 and body["galerkin"] == 1
 
 
-@pytest.mark.parametrize("build", ["tables", "profile"])
-def test_drifting_ends_are_rejected(build):
-    # a linear profile never freezes: its ends drift by 1e-1 per edge
+def test_drifting_ends_are_rejected():
+    # a linear blend never freezes: its ends drift by 1e-1 per edge
     left, right = _anchor_coeffs(-1.0), _anchor_coeffs(1.0)
-    ramp = lambda s: 0.5 + s / 32.0
+    s_grid = np.linspace(-16.0, 16.0, 161)
     with pytest.raises(InvalidInput, match="asymptotically constant"):
-        if build == "profile":
-            OperatorFamily.from_asymptotes(left, right, profile=ramp)
-        else:
-            s_grid = np.linspace(-16.0, 16.0, 161)
-            OperatorFamily(left.dims, s_grid,
-                           *_blended_tables(left, right, ramp(s_grid)))
+        OperatorFamily(left.dims, s_grid,
+                       *_blended_tables(left, right, 0.5 + s_grid / 32.0))
+
+
+def test_every_affine_family_shares_one_increasing_frozen_profile():
+    # the shared profile is inverted piece by piece, its control points
+    # bound the increment table's interval [0, 1], and its ends are
+    # frozen far below the edge check of a table family
+    fam = split_tanh_family(alpha=ALPHA, n_theta=64)
+    profile = fam.profile
+    assert random_operator_family(Dimensions(1, 1), seed=1000).profile is profile
+    assert fam.s_grid is profile.s_grid
+    assert np.all(np.diff(profile.w) > 0.0)
+    assert np.all(np.diff(profile.control, axis=1) > 0.0)
+    assert 0.0 < profile.control.min() and profile.control.max() < 1.0
+    edge = max(2, int(np.ceil(specflow.EDGE_FRACTION * len(profile.w))))
+    assert np.max(np.abs(profile.w[:edge] - profile.w[0])) <= 1e-11
+    assert np.max(np.abs(profile.w[-edge:] - profile.w[-1])) <= 1e-11
