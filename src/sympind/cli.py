@@ -14,6 +14,7 @@ verification, 2 precondition errors, 3 numerical-instability errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional, Tuple
@@ -239,7 +240,7 @@ def _cmd_paramindex(args: argparse.Namespace, cfg: RunConfig) -> Tuple[List[str]
         result = rs_index_stratified(path, rabinowitz_block_family(),
                                      tol_sv=cfg.tol_sv, tol_eig=cfg.tol_eig)
     else:
-        result = parametrized_rs_index(pd, tol_sv=cfg.tol_sv,
+        result = parametrized_rs_index(pd, tol_sv=cfg.tol_sv, tol_eig=cfg.tol_eig,
                                        sample_hint=cfg.sample_hint)
     lines, obj = _index_output(result, "paramindex")
     lines.insert(0, f"system: {args.system}")
@@ -306,7 +307,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="Fourier modes for the truncated flow")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="sympind",
         description="Half-integer indices of symplectic paths and "

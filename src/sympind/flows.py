@@ -23,6 +23,14 @@ B' = -(d/dx grad_lam H) Psi, with X = Psi^{-1} A and E = sym(F).  B and
 the antisymmetric part of F are redundant with X; their residuals
 certify that the assembled extended matrix really is the differential
 of the parametrized flow.
+
+The loop is known by G samples, and between them by its trigonometric
+interpolant (the one trig_eval evaluates).  The RK4 nodes j/N and
+midpoints (j + 1/2)/N together form the uniform grid k/(2N), so the
+integration evaluates the interpolant there by one zero-padded inverse
+FFT (CriticalPoint.gamma_on_grid) instead of a dense sum over the
+points; for even G the Nyquist term enters with weight one, as in
+trig_eval.
 """
 
 from __future__ import annotations
@@ -33,10 +41,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coefficients import (PathData, carried_block_residuals, generator,
-                           integrate_path, trig_eval)
+                           integrate_path)
 from .errors import (DegenerateEndpoint, DimensionMismatch, InvalidInput,
                      ShapeError)
-from .linalg import TOL_SV
+from .linalg import TOL_EIG, TOL_SV
 from .paths import KernelFamily
 from .rsindex import (IndexResult, endpoint_phase, is_nondegenerate,
                       rs_index_stratified)
@@ -89,7 +97,11 @@ class CriticalPoint:
     """Loop samples with parameter vector; gamma_j at theta_j = j/G.
 
     winding records the affine drift gamma(theta + 1) = gamma(theta) + winding,
-    so angle-valued coordinates can live in a linear chart.
+    so angle-valued coordinates can live in a linear chart.  Between the
+    samples the loop is theta * winding plus the trigonometric interpolant
+    of the periodic part, with the Nyquist cosine of an even G counted
+    once (as trig_eval counts it); gamma_on_grid evaluates it on a finer
+    uniform grid.
     """
 
     gamma: np.ndarray
@@ -114,10 +126,22 @@ class CriticalPoint:
         thetas = np.arange(self.samples) / self.samples
         return self.gamma - thetas[:, None] * self.winding[None, :]
 
-    def gamma_at(self, thetas) -> np.ndarray:
-        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        vals = trig_eval(self.periodic_part(), thetas)
-        return vals + thetas[:, None] * self.winding[None, :]
+    def gamma_on_grid(self, size: int) -> np.ndarray:
+        """The loop at theta = k/size for k = 0..size, size > samples.
+
+        One zero-padded inverse real FFT of the periodic part.  An even
+        G's Nyquist bin is halved, since the longer transform would count
+        it twice; the wrap value k = size repeats k = 0 before the drift
+        theta * winding is added.
+        """
+        if size <= self.samples:
+            raise ShapeError(f"grid size {size} must exceed the {self.samples} samples")
+        spec = np.fft.rfft(self.periodic_part(), axis=0)
+        if self.samples % 2 == 0:
+            spec[-1] *= 0.5
+        per = np.fft.irfft(spec, n=size, axis=0) * (size / self.samples)
+        thetas = np.arange(size + 1) / size
+        return np.concatenate([per, per[:1]]) + thetas[:, None] * self.winding[None, :]
 
     def velocity_at_nodes(self) -> np.ndarray:
         per = self.periodic_part()
@@ -176,17 +200,19 @@ def linearized_flow_path(system: HamiltonianSystem, point: CriticalPoint,
             f"{report.gradient_residual:.3e} (tol {tol:.1e})")
     nsteps = max(point.samples, 128)
     node_t = np.arange(nsteps + 1) / nsteps
+    # nodes j/N and midpoints (j + 1/2)/N are the even and odd points of
+    # the grid k/(2N), as the same floats
+    gs = point.gamma_on_grid(2 * nsteps)
 
-    def sample(ts):
+    def sample(ts, xs):
         """Callback stacks on a grid of loop times; hess_mixed split in x, lam."""
-        gs = point.gamma_at(ts)
-        jx = _evaluate(system, "jac_x", ts, gs, point.lam)
-        jl = _evaluate(system, "jac_lam", ts, gs, point.lam)
-        hm = _evaluate(system, "hess_mixed", ts, gs, point.lam)
+        jx = _evaluate(system, "jac_x", ts, xs, point.lam)
+        jl = _evaluate(system, "jac_lam", ts, xs, point.lam)
+        hm = _evaluate(system, "hess_mixed", ts, xs, point.lam)
         return jx, jl, hm[:, :, :dims.loop], hm[:, :, dims.loop:]
 
-    jx_n, jl_n, hx_n, hl_n = sample(node_t)
-    jx_m, jl_m, hx_m, hl_m = sample((np.arange(nsteps) + 0.5) / nsteps)
+    jx_n, jl_n, hx_n, hl_n = sample(node_t, gs[::2])
+    jx_m, jl_m, hx_m, hl_m = sample((np.arange(nsteps) + 0.5) / nsteps, gs[1::2])
 
     j0 = dims.j_loop()
     stacked = j0 @ np.concatenate([jx_n, jx_m])
@@ -232,6 +258,7 @@ def extended_flow_check(pd: PathData) -> ExtendedFlowReport:
 
 
 def parametrized_rs_index(pd: PathData, tol_sv: float = TOL_SV,
+                          tol_eig: float = TOL_EIG,
                           sample_hint: Optional[int] = None) -> IndexResult:
     """Index of the linearized return path with the dual-slot family.
 
@@ -247,7 +274,7 @@ def parametrized_rs_index(pd: PathData, tol_sv: float = TOL_SV,
     snm = pd.to_snm_path(sample_hint=sample_hint)
     path = snm.to_path()
     family = KernelFamily.dual_slot(pd.dims)
-    return rs_index_stratified(path, family, tol_sv, validate=False)
+    return rs_index_stratified(path, family, tol_sv, tol_eig, validate=False)
 
 
 def transform_system(system: HamiltonianSystem, phi: np.ndarray,

@@ -161,6 +161,23 @@ def test_paramindex_rabinowitz_flat(capsys):
     assert out[1] == "index: 0/2"
 
 
+@pytest.mark.parametrize("system", ["split", "quadratic"])
+def test_paramindex_passes_tol_eig_to_the_index(tmp_path, capsys, monkeypatch, system):
+    import sympind.flows
+
+    seen = []
+
+    def recording(path, family, tol_sv, tol_eig, **kwargs):
+        seen.append(tol_eig)
+        return rs_index_stratified(path, family, tol_sv, tol_eig, **kwargs)
+
+    monkeypatch.setattr(sympind.flows, "rs_index_stratified", recording)
+    cfg = _write(tmp_path, "cfg.json", {"tol_eig": 1e-6})
+    assert main(["paramindex", system, "--config", cfg]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "index: -3/2"
+    assert seen == [1e-6]
+
+
 def test_paramindex_quadratic_matches_library(tmp_path, capsys):
     kb = [[0.9, 0.1], [0.1, 0.4]]
     gb = [[0.2, 0.1]]
@@ -327,3 +344,52 @@ def test_argparse_rejects_unknown_choices():
         main(["verify", "nonsense"])
     with pytest.raises(SystemExit):
         main(["paramindex", "unknown-system"])
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    shear = _shear_file(tmp_path)
+    params = _write(tmp_path, "params.json", {"K": [[-0.9, 0.0], [0.0, 0.4]],
+                                              "F": [[-0.7]]})
+    assert main(["index", shear, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["index"] == "3/2"
+    first = len(built)
+    assert first > 0
+    # no setting of one call reaches the next
+    assert main(["index", shear]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "index: 3/2"
+    assert main(["paramindex", "split", "--params", params]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "index: 1/2"
+    assert main(["paramindex", "split"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "index: -3/2"
+    with pytest.raises(SystemExit) as exc:
+        main(["paramindex", "split", "--tol-sv", "tiny"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["paramindex", "split", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["index"] == "-3/2"
+    assert len(built) == first
+
+
+def test_recorded_json_outputs_repeat_byte_for_byte(tmp_path, capsys):
+    # --json text of two requests of each benchmark pool kind and of one
+    # quadratic system with an interior crossing, so a change to the loop
+    # evaluation or the crossing search cannot move a printed t silently
+    recorded = json.loads((Path(__file__).parent / "data" / "cli_outputs.json")
+                          .read_text(encoding="utf-8"))
+    assert len(recorded) == 9
+    for rec in recorded:
+        source = _write(tmp_path, "input.json", rec["input"])
+        argv = [source if a == "{input}" else a for a in rec["argv"]]
+        assert main(argv) == 0, rec["label"]
+        assert capsys.readouterr().out == rec["output"], rec["label"]

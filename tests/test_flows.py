@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import sympind.coefficients
+import sympind.flows
 from sympind import (CriticalPoint, HalfInteger, check_critical_point,
                      exp_shear_path, extended_flow_check,
                      linearized_flow_path, parametrized_rs_index, snm_index)
+from sympind.coefficients import generator, integrate_path, trig_eval
 from sympind.errors import DegenerateEndpoint, InvalidInput, ShapeError
-from sympind.linalg import random_orthogonal, random_symplectic
+from sympind.flows import HamiltonianSystem
+from sympind.linalg import random_orthogonal, random_symmetric, random_symplectic
+from sympind.snm import Dimensions
 from sympind.systems import (quadratic_system, radial_system,
                              random_quadratic_system, split_system)
 from sympind.flows import transform_point, transform_system
@@ -106,10 +111,114 @@ def test_radial_loop_is_critical_but_degenerate():
 
 def test_radial_winding_closes_the_chart():
     sys_, pt = radial_system(slope=-1.0, curvature=0.5, turns=2)
-    gamma0 = pt.gamma_at(np.array([0.0]))[0]
-    gamma1 = pt.gamma_at(np.array([1.0]))[0]
-    np.testing.assert_allclose(gamma1 - gamma0, pt.winding, atol=1e-10)
+    grid = pt.gamma_on_grid(2 * pt.samples)
+    np.testing.assert_allclose(grid[-1] - grid[0], pt.winding, atol=1e-10)
     assert abs(pt.winding[1] - 4.0 * np.pi) < 1e-12
+
+
+def _dense_gamma(point, thetas):
+    """The loop's interpolant at arbitrary points by the dense trigonometric sum."""
+    return trig_eval(point.periodic_part(), thetas) + thetas[:, None] * point.winding
+
+
+@pytest.mark.parametrize("samples", [5, 8, 33, 128, 256, 257])
+def test_loop_grid_matches_the_dense_sum(samples):
+    rng = np.random.default_rng(samples)
+    winding = rng.uniform(-3.0, 3.0, 4)
+    thetas = np.arange(samples) / samples
+    pt = CriticalPoint(rng.standard_normal((samples, 4)) + thetas[:, None] * winding,
+                       np.zeros(1), winding)
+    nsteps = max(samples, 128)
+    grid = pt.gamma_on_grid(2 * nsteps)
+    assert grid.shape == (2 * nsteps + 1, 4)
+    nodes = _dense_gamma(pt, np.arange(nsteps + 1) / nsteps)
+    mids = _dense_gamma(pt, (np.arange(nsteps) + 0.5) / nsteps)
+    scale = float(np.max(np.abs(nodes)))
+    assert float(np.max(np.abs(grid[::2] - nodes))) <= 1e-13 * scale
+    assert float(np.max(np.abs(grid[1::2] - mids))) <= 1e-13 * scale
+
+
+def test_loop_grid_must_refine_the_samples():
+    pt = CriticalPoint(np.zeros((8, 2)), np.zeros(1))
+    with pytest.raises(ShapeError, match="exceed"):
+        pt.gamma_on_grid(8)
+
+
+def _wavy_system(rng):
+    """(system, point): a band-limited loop with winding whose Jacobians vary along it.
+
+    The callbacks need not come from one Hamiltonian: linearized_flow_path
+    only needs the loop to pass the critical-point check and jac_x to be
+    infinitesimally symplectic, and the Jacobians depend on x, so every
+    sampled loop value enters the return data.
+    """
+    dims = Dimensions(1, 1)
+    modes, samples = 3, 100
+    a, b = rng.standard_normal((2, modes, 2)) * 0.3
+    winding = np.array([0.0, 2.0 * np.pi])
+    freq = 2.0 * np.pi * np.arange(1, modes + 1)
+
+    def loop(t):
+        return (np.cos(np.outer(t, freq)) @ a + np.sin(np.outer(t, freq)) @ b
+                + t[:, None] * winding)
+
+    def velocity(t):
+        return ((np.cos(np.outer(t, freq)) * freq) @ b
+                - (np.sin(np.outer(t, freq)) * freq) @ a + winding)
+
+    j0 = dims.j_loop()
+    s0, s1 = random_symmetric(rng, 2), random_symmetric(rng, 2)
+    g = rng.standard_normal((1, 2))
+
+    def jx(t, x, lam):
+        sym = s0 + np.sin(x[:, 0])[:, None, None] * s1
+        return j0 @ sym
+
+    def jl(t, x, lam):
+        return np.cos(x @ g.T)[:, :, None] * np.ones((1, 2, 1))
+
+    def hm(t, x, lam):
+        return np.concatenate([np.sin(x)[:, None, :], np.cos(x[:, :1])[:, None, :]], axis=2)
+
+    system = HamiltonianSystem(dims, lambda t, x, lam: velocity(t), jx, jl,
+                               lambda t, x, lam: np.zeros((len(t), 1)), hm)
+    thetas = np.arange(samples) / samples
+    return system, CriticalPoint(loop(thetas), np.array([0.7]), winding)
+
+
+def _dense_flow_path(system, point):
+    """linearized_flow_path with the loop evaluated by the dense sum."""
+    dims = system.dims
+    nsteps = max(point.samples, 128)
+    node_t = np.arange(nsteps + 1) / nsteps
+    stacks = []
+    for ts in (node_t, (np.arange(nsteps) + 0.5) / nsteps):
+        gs = _dense_gamma(point, ts)
+        hm = system.hess_mixed(ts, gs, point.lam)
+        stacks.append(generator(dims, system.jac_x(ts, gs, point.lam),
+                                system.jac_lam(ts, gs, point.lam),
+                                -hm[:, :, :dims.loop], -hm[:, :, dims.loop:]))
+    return integrate_path(dims, node_t, *stacks)
+
+
+@pytest.mark.parametrize("case", ["radial", "wavy"])
+def test_flow_path_evaluates_the_loop_without_the_dense_sum(case, monkeypatch):
+    if case == "radial":
+        sys_, pt = radial_system(slope=-1.3, curvature=0.7, turns=2)
+    else:
+        sys_, pt = _wavy_system(np.random.default_rng(11))
+    want = _dense_flow_path(sys_, pt)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense trigonometric sum called")
+
+    monkeypatch.setattr(sympind.coefficients, "trig_eval", refuse)
+    monkeypatch.setattr(sympind.flows, "trig_eval", refuse, raising=False)
+    got = linearized_flow_path(sys_, pt)
+    for field in ("psi", "x", "e"):
+        ref = getattr(want, field)
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert float(np.max(np.abs(getattr(got, field) - ref))) <= 1e-13 * scale
 
 
 CALLBACKS = ("vector_field", "jac_x", "jac_lam", "grad_lam", "hess_mixed")
