@@ -15,6 +15,7 @@ which is again a complex structure, so the same formulas apply to both.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -145,10 +146,45 @@ def random_symmetric(rng: np.random.Generator, size: int, scale: float = 1.0) ->
     return s
 
 
+# Degree-13 Pade coefficients b_0..b_13 and the 1-norm bound theta_13 below
+# which that approximant is accurate to double precision (Higham, SIAM J.
+# Matrix Anal. Appl. 26 (2005)).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring a degree-13 Pade approximant.
+
+    numpy only: scipy.linalg.expm ends in OpenBLAS getrs, which wakes a
+    helper thread on every call, however small the matrix.
+    """
+    a = np.asarray(a, dtype=float)
+    if not a.any():
+        return np.eye(a.shape[0])
+    norm = float(np.linalg.norm(a, 1))
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0 ** s
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def random_symplectic(rng: np.random.Generator, jmat: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Random symplectic matrix exp(J S) for random symmetric S."""
-    from scipy.linalg import expm
-
     size = jmat.shape[0]
     s = random_symmetric(rng, size, scale)
     return expm(jmat @ s)
@@ -165,7 +201,7 @@ class ExpCurve:
     """t -> exp(phi(t) * G) evaluated through one eigendecomposition.
 
     Vectorizes over arrays of t, which keeps crossing scans cheap.  Falls
-    back to scipy's expm when G is too defective to diagonalize stably.
+    back to expm when G is too defective to diagonalize stably.
     """
 
     def __init__(self, generator: np.ndarray):
@@ -190,7 +226,5 @@ class ExpCurve:
             lam = np.exp(ph[:, None] * self._w[None, :])
             out = np.einsum("ij,tj,jk->tik", self._v, lam, self._vinv).real
         else:
-            from scipy.linalg import expm
-
             out = np.stack([expm(float(c) * self.generator) for c in ph])
         return out[0] if scalar else out

@@ -29,14 +29,13 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .coefficients import (loop_identity_residuals, path_from_coefficients,
                            coefficients_from_path)
 from .errors import (IrregularCrossing, JunctionMismatch, NonIsolated,
                      UnresolvedCrossing)
 from .halfint import HalfInteger
-from .linalg import (ExpCurve, inertia, kernel_basis, kernel_dimension,
+from .linalg import (ExpCurve, expm, inertia, kernel_basis, kernel_dimension,
                      random_orthogonal, random_symmetric, random_symplectic,
                      signature, sym_part, symplectic_inverse)
 from .paths import (KernelFamily, SnmPath, SymplecticPath, block_conjugator,

@@ -96,3 +96,29 @@ def test_private_names_are_used(module):
     tree = ast.parse(module.read_text(encoding="utf-8"))
     dead = sorted(set(_private_definitions(tree)) - _package_references())
     assert not dead, f"{module.name} defines but never uses: {', '.join(dead)}"
+
+
+def _scipy_linalg_imports(tree: ast.Module):
+    """Line of each import from scipy.linalg, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            if node.module == "scipy":
+                modules += [f"scipy.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(m == "scipy.linalg" or m.startswith("scipy.linalg.") for m in modules):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_scipy_linalg(module):
+    """scipy.linalg's solvers end in its own OpenBLAS getrs, which takes the
+    threaded path at any matrix size: one small call per random draw kept a
+    helper thread busy-waiting, doubling the CPU of the axiom suites.  The
+    package does its small-matrix linear algebra with numpy alone."""
+    tree = ast.parse(module.read_text(encoding="utf-8"))
+    lines = list(_scipy_linalg_imports(tree))
+    assert not lines, f"{module.name} imports scipy.linalg at lines {lines}"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from sympind import inertia, signature, standard_j, sym_part
+from sympind import linalg
 from sympind.linalg import (ExpCurve, kernel_basis, kernel_dimension,
                             random_orthogonal, random_symmetric,
                             random_symplectic,
@@ -89,6 +90,58 @@ def test_exp_curve_matches_expm():
     batch = curve(np.array([0.1, 0.2]))
     assert batch.shape == (2, 4, 4)
     np.testing.assert_allclose(batch[0], expm(0.1 * gen), atol=1e-11)
+
+
+def test_exp_curve_defective_generator_falls_back_to_expm():
+    gen = np.array([[0.0, 1.0], [0.0, 0.0]])
+    curve = ExpCurve(gen)
+    assert not curve._ok
+    for phi in (-1.3, 0.0, 0.4, 2.7):
+        np.testing.assert_allclose(curve(phi), np.eye(2) + phi * gen,
+                                   rtol=0, atol=1e-15)
+    assert curve(np.array([0.1, 0.2])).shape == (2, 2, 2)
+
+
+def _hamiltonian_draws(count=300):
+    """J S for random symmetric S, n = 1..3, at the suites' scales 0.7-1.0."""
+    rng = np.random.default_rng(2005)
+    for n in (1, 2, 3):
+        j = standard_j(n)
+        for _ in range(count):
+            yield rng, j @ random_symmetric(rng, 2 * n, 0.7 + 0.3 * rng.random())
+
+
+def _relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def test_expm_matches_scipy_at_suite_scales():
+    worst = max(_relative_error(linalg.expm(a), expm(a)) for _, a in _hamiltonian_draws())
+    assert worst <= 1e-13
+
+
+def test_expm_matches_scipy_through_squaring():
+    # ||A||_1 up to 60 takes up to four squarings; at this size the
+    # reference itself is off by a few 1e-12 from a 40-digit expm
+    worst = 0.0
+    for rng, a in _hamiltonian_draws():
+        a = a * (60.0 * rng.random() / np.linalg.norm(a, 1))
+        worst = max(worst, _relative_error(linalg.expm(a), expm(a)))
+    assert worst <= 1e-11
+
+
+def test_expm_of_zero_and_empty():
+    assert np.array_equal(linalg.expm(np.zeros((4, 4))), np.eye(4))
+    assert linalg.expm(np.zeros((0, 0))).shape == (0, 0)
+
+
+def test_random_symplectic_defect_at_suite_scales():
+    rng = np.random.default_rng(2009)
+    for n in (1, 2, 3):
+        j = standard_j(n)
+        for _ in range(300):
+            m = random_symplectic(rng, j, 0.7 + 0.3 * rng.random())
+            assert symplectic_defect(m, j) <= 1e-13
 
 
 symmetric_entries = st.floats(min_value=-5.0, max_value=5.0,

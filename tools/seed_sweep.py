@@ -16,6 +16,11 @@ Batteries:
   (``fallback`` where the scan ran on the exact path) are tallied on
   stderr, outside the JSON and its comparison.
 
+Each battery's wall seconds and process-CPU seconds go to stderr too, so a
+sweep shows helper threads that spin (CPU well above wall on a run that
+is single-threaded by design).  Standard output, the JSON and the
+baseline comparison do not include them.
+
 The result is deterministic JSON.  The script exits 1 when any entry it
 computed differs from ``tools/seed_sweep_baseline.json`` (entries the
 baseline lacks count as differences), and 0 otherwise.  It is kept out of
@@ -28,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from collections import Counter
 from functools import partial
 from pathlib import Path
@@ -113,8 +119,12 @@ def main(argv=None) -> int:
     names = sorted(BATTERIES) if args.battery == "all" else [args.battery]
     tally = Counter()
     batteries = dict(BATTERIES, **{"main-theorem": partial(sweep_main_theorem, tally=tally)})
-    result = {name: batteries[name](_seed_range(args.seeds or DEFAULT_SEEDS[name]))
-              for name in names}
+    result = {}
+    for name in names:
+        wall, cpu = time.perf_counter(), time.process_time()
+        result[name] = batteries[name](_seed_range(args.seeds or DEFAULT_SEEDS[name]))
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+        print(f"{name}: {wall:.1f} s wall, {cpu:.1f} s CPU", file=sys.stderr)
     if tally:
         fallbacks = tally.pop("fallback", 0)
         nodes = ", ".join(f"{key} x {tally[key]}" for key in sorted(tally)) or "none"
