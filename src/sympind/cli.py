@@ -126,6 +126,9 @@ def _load_family_file(family_file: str, cfg: RunConfig) -> OperatorFamily:
     kind = data.get("kind")
     if kind == "dense_family":
         _require(data, kind, "n", "m", "s_grid", "theta_grid", "S", "C", "D")
+        if cfg.sample_hint != RunConfig().sample_hint:
+            raise InvalidInput("a dense_family file brings its own theta_grid: "
+                               "leave sample_hint at its default")
         dims = Dimensions(int(data["n"]), int(data["m"]))
         theta = _as_array(data["theta_grid"], "theta_grid", ndim=1)
         want = np.arange(len(theta)) / max(len(theta), 1)

@@ -20,31 +20,33 @@ reports carry the quadratic-form matrices computed three ways (from the
 path derivative, from the endpoint-block display, and from the reduced
 (zeta_0, ell) display) so their agreement can be asserted.
 
-A family is the componentwise cubic spline in s of its coefficient
-tables.  Both that spline and the generator K of the theta-ODE are
-linear in the tables, so a family is stored as a few basis coefficient
-sets B_k with their K tables, built once, and per-s weights u_k(s):
-K(s) = sum_k u_k(s) K(B_k), summed term by term in a fixed order, so an
-s value's return data is the same in every batch (see OperatorFamily).
-A family between two asymptotes is affine in one scalar, so its RK4
-step increments are tabulated once and combined per s instead.
+A table family is the componentwise cubic spline in s of its
+coefficient tables; a family between two asymptotes is their blend
+left + w(s) (right - left).  Both, and the generator K of the theta-ODE,
+are linear in the coefficients, so a family is stored as a few basis
+coefficient sets B_k with their K tables, built once, and per-s weights
+u_k(s): K(s) = sum_k u_k(s) K(B_k), summed term by term in a fixed
+order, so an s value's return data is the same in every batch (see
+OperatorFamily).  A blend is affine in one scalar, so its RK4 step
+increments are tabulated once and combined per s instead.
 Each end's kernel is integrated once per family and shared by the
 generator's retry, spectral_flow_matrix and main_theorem_check.
 
 With its ends fixed, spectral flow is a homotopy invariant, so the
-profile blending two asymptotes cannot change any flow: every family
-between two asymptotes shares one, the spline w^ of (1 + tanh s)/2 on
-the fixed s-grid, which is increasing.  Its return path is M(s) =
-F(w^(s)), where F(w) is the return matrix of K(left) + w K(right -
+weight blending two asymptotes cannot change any flow: every such
+family uses w(s) = (1 + tanh s)/2 (blend), with s clipped to
+[-S_SPAN, S_SPAN], which is increasing.  Its return path is M(s) =
+F(w(s)), where F(w) is the return matrix of K(left) + w K(right -
 left).  Spectral flow does not change under a monotone
 reparametrization (Robbin and Salamon, Bull. LMS 27 (1995); Phillips,
 Canad. Math. Bull. 39 (1996)), so spectral_flow_matrix scans w -> F(w)
-over [w^(s_min), w^(s_max)] at W_SCAN_INTERVALS intervals instead of
-s -> M(s) at 512.  Each crossing w* goes back to the s* with w^(s*) =
-w* (Brent's method on its spline piece) and its path form to w^'(s*)
-times the form in w; the displayed forms are computed in s as before,
-from finite differences of the return data, so they check the path
-form independently.  Table families are scanned in s.
+over [w(s_min), w(s_max)] at W_SCAN_INTERVALS intervals instead of
+s -> M(s) at 512.  Each crossing w* goes back to s* = (log w* -
+log1p(-w*))/2 (blend_inverse) and its path form to w'(s*) =
+1/(2 cosh^2 s*) (blend_slope) times the form in w; the displayed forms
+are computed in s as before, from finite differences of the return
+data, so they check the path form independently.  Table families are
+scanned in s.
 
 F solves a linear ODE whose coefficients are affine in w, so it is
 entire in w and its Chebyshev coefficients on the w-interval decay
@@ -61,14 +63,13 @@ propagations as the scan grid, the scan runs on F itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from typing import Callable, List, Optional
+from functools import cached_property
+from typing import Callable, List
 
 import numpy as np
 from numpy.polynomial import chebyshev
 from scipy.fft import dct
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .coefficients import (AffineIncrements, OperatorCoefficients, PathData,
                            generator_coefficients, generator_tables,
@@ -209,95 +210,44 @@ class ChebyshevSeries:
         return self._sum(self._dcoeffs, w)
 
 
-class Profile:
-    """The spline w^ of profile samples w_i on an s-grid.
-
-    w^ is the not-a-knot cubic spline of the w_i, evaluated piece by
-    piece with the cubic Hermite weights of _hermite; each piece lies in
-    the hull of its Bezier control points (w_i, w_i + h m_i / 3,
-    w_i+1 - h m_i+1 / 3, w_i+1), with node slopes m_i and step h.  It is
-    inverted piece by piece, so the w_i and every piece's control points
-    must increase, as they do for the shared profile (_shared_profile).
-    """
-
-    def __init__(self, s_grid: np.ndarray, w: np.ndarray):
-        self.s_grid, self.w = s_grid, w
-        self.slopes = _spline_slopes(s_grid, w)
-        step = np.diff(s_grid)
-        self.control = np.stack([w[:-1], w[:-1] + step * self.slopes[:-1] / 3.0,
-                                 w[1:] - step * self.slopes[1:] / 3.0, w[1:]], axis=1)
-
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        """w^ at a 1-D array of s, frozen outside the grid."""
-        i, h = _hermite(self.s_grid, s)
-        return (h[:, 0] * self.w[i] + h[:, 1] * self.slopes[i]
-                + h[:, 2] * self.w[i + 1] + h[:, 3] * self.slopes[i + 1])
-
-    def slope(self, s: float) -> float:
-        """w^'(s) inside the grid, from the control points of its piece."""
-        i = int(np.clip(np.searchsorted(self.s_grid, s, side="right") - 1,
-                        0, len(self.s_grid) - 2))
-        lo, hi = self.s_grid[i], self.s_grid[i + 1]
-        t = (s - lo) / (hi - lo)
-        d = np.diff(self.control[i])
-        return float(3.0 * ((1.0 - t) ** 2 * d[0] + 2.0 * t * (1.0 - t) * d[1]
-                            + t * t * d[2]) / (hi - lo))
-
-    def _gap(self, s: float, w_star: float) -> float:
-        return float(self(np.array([s]))[0]) - w_star
-
-    def inverse(self, w_star: float) -> float:
-        """The s with w^(s) = w_star.
-
-        Brent's method runs on the piece whose end values bracket w_star;
-        w^ is exactly w_i at the node s_i, so the bracket holds.
-        """
-        w_star = float(np.clip(w_star, self.w[0], self.w[-1]))
-        i = int(np.clip(np.searchsorted(self.w, w_star, side="right") - 1,
-                        0, len(self.w) - 2))
-        return float(brentq(self._gap, self.s_grid[i], self.s_grid[i + 1],
-                            args=(w_star,), xtol=4 * np.finfo(float).eps,
-                            maxiter=200))
+def blend(s: np.ndarray) -> np.ndarray:
+    """The weight w(s) = (1 + tanh s)/2 of a blend, frozen outside [-S_SPAN, S_SPAN]."""
+    return 0.5 * (1.0 + np.tanh(np.clip(s, -S_SPAN, S_SPAN)))
 
 
-@cache
-def _shared_profile() -> Profile:
-    """The spline of (1 + tanh s)/2 on the S_COUNT-point grid of [-S_SPAN, S_SPAN].
+def blend_inverse(w: float) -> float:
+    """The s with w(s) = w, for w strictly between 0 and 1."""
+    return float(0.5 * (np.log(w) - np.log1p(-w)))
 
-    Built once and shared by every from_asymptotes family, so its arrays
-    are read-only.  Its node steps are at least 6.2e-15 and its control
-    point steps at least 1.6e-15, so it increases on every piece, and
-    its control points lie in [1.3e-14, 1 - 1.3e-14].
-    """
-    s_grid = np.linspace(-S_SPAN, S_SPAN, S_COUNT)
-    profile = Profile(s_grid, 0.5 * (1.0 + np.tanh(s_grid)))
-    for arr in (profile.s_grid, profile.w, profile.slopes, profile.control):
-        arr.flags.writeable = False
-    return profile
+
+def blend_slope(s: float) -> float:
+    """w'(s) = 1/(2 cosh^2 s) inside [-S_SPAN, S_SPAN]."""
+    return float(0.5 / np.cosh(s) ** 2)
 
 
 class OperatorFamily:
     """Loop coefficients (S, C, D) over an s-interval with frozen ends.
 
-    Between the s-grid points the family is the componentwise not-a-knot
-    cubic spline of its samples at (s_i, theta_j), theta_j = j/N, and
-    outside the grid it is frozen at the end samples.  It is stored as a
-    few basis coefficient sets B_k and per-s weights u_k(s):
+    A table family is, between its s-grid points, the componentwise
+    not-a-knot cubic spline of its samples at (s_i, theta_j), theta_j =
+    j/N, and outside the grid it is frozen at the end samples.  A family
+    between two asymptotes (from_asymptotes) is their blend left + w(s)
+    (right - left), w the blend weight (module notes).  Either is stored
+    as a few basis coefficient sets B_k and per-s weights u_k(s):
 
         (S, C, D)(s) = sum_k u_k(s) B_k.
 
     The generator K of the theta-ODE (coefficients.py) is linear in
     (S, C, D), and so is its spectral midpoint table, so the K tables of
     every B_k are built once, here, and K(s) = sum_k u_k(s) K(B_k) for
-    any s.  Spline interpolation is linear in the data too, so this is
-    the componentwise spline up to rounding:
+    any s.  Spline interpolation is linear in the data too, so a table
+    family is the componentwise spline up to rounding:
 
     * the table constructor keeps the table rows and their spline node
       slopes as sets; u(s) holds the cubic Hermite weights of the
       interval containing s, so each s combines four sets;
-    * from_asymptotes, whose tables are left + w(s_i) (right - left),
-      keeps the two sets (left, right - left) with u(s) = (1, w^(s)),
-      where w^ is the spline of the shared profile w (module notes).
+    * from_asymptotes keeps the two sets (left, right - left) with
+      u(s) = (1, w(s)).
 
     The sums run term by term in a fixed order with elementwise
     operations, so an s value's K tables, and its return data, do not
@@ -306,23 +256,22 @@ class OperatorFamily:
     and midpoint K tables of the sets are kept; coefficients_at reads
     (S, C, D) back from the node tables, exactly.
 
-    An affine family's K(s) = K(left) + w^(s) K(right - left) has RK4
-    step increments of degree 4 in w^ (coefficients.AffineIncrements).
+    An affine family's K(s) = K(left) + w(s) K(right - left) has RK4
+    step increments of degree 4 in w (coefficients.AffineIncrements).
     They are tabulated once, here, at 5 Chebyshev nodes of [0, 1], which
-    holds the whole range of w^, and return_data_at combines them with
+    holds the whole range of w, and return_data_at combines them with
     each s value's Lagrange weights, one stacked product per s so that
     the batch does not change the rounding; the affine family keeps no
     midpoint tables and builds no K tables per s.  Each end's
     AsymptoticKernel is integrated once, on first use.
 
-    An affine family keeps the shared profile spline w^ as profile (None
-    for a table family).  profile_path is the path w -> F(w) over
-    [w^(s_min), w^(s_max)], where return_data_at(s) is F(w^(s)), and
-    spectral_flow_matrix scans it at W_SCAN_INTERVALS intervals instead
-    of return_path at 512.  That path is the Chebyshev series
-    profile_series, fitted once from the same increment table with as
-    many nodes as its tail needs, or F itself when the tail has not
-    converged by SERIES_MAX_DEGREE (module notes).
+    affine says which kind a family is.  An affine family's profile_path
+    is the path w -> F(w) over [w(s_min), w(s_max)], where
+    return_data_at(s) is F(w(s)), and spectral_flow_matrix scans it at
+    W_SCAN_INTERVALS intervals instead of return_path at 512.  That path
+    is the Chebyshev series profile_series, fitted once from the same
+    increment table with as many nodes as its tail needs, or F itself
+    when the tail has not converged by SERIES_MAX_DEGREE (module notes).
     """
 
     def __init__(self, dims: Dimensions, s_grid: np.ndarray, s_table: np.ndarray,
@@ -349,27 +298,24 @@ class OperatorFamily:
 
         self._set_basis(dims, s_grid, sets, weights)
 
-    def _set_basis(self, dims: Dimensions, s_grid: np.ndarray, sets, weights,
-                   profile: Optional[Profile] = None) -> None:
+    def _set_basis(self, dims: Dimensions, s_grid: np.ndarray, sets, weights) -> None:
         """Build the basis sets' K tables; store them and the weight rule.
 
         weights maps an array of s values to the set indices and weights
-        (idx, u) that _combine takes.  An affine family passes its
-        profile spline w^; its midpoint tables then go into an increment
-        table over [0, 1] and are not kept.  The sets themselves are not
-        kept: coefficients_at reads them back from the node tables.
+        (idx, u) that _combine takes.  The sets themselves are not kept:
+        coefficients_at reads them back from the node tables.
         """
         self.dims = dims
         self.s_grid = s_grid
         self.n_theta = sets[0].shape[1]
-        self.profile = profile
         self._weights = weights
-        self._nodes, mids = generator_tables(dims, *sets)
-        if profile is None:
-            self._mids, self._increments = mids, None
-        else:
-            self._mids = None
-            self._increments = AffineIncrements(dims, self._nodes, mids)
+        self._nodes, self._mids = generator_tables(dims, *sets)
+        self._increments = None
+
+    @property
+    def affine(self) -> bool:
+        """True for a from_asymptotes family, False for a table family."""
+        return self._increments is not None
 
     @property
     def s_min(self) -> float:
@@ -437,19 +383,19 @@ class OperatorFamily:
 
     @cached_property
     def profile_series(self) -> ChebyshevSeries:
-        """The Chebyshev series of F over [w^(s_min), w^(s_max)], fitted once.
+        """The Chebyshev series of F over [w(s_min), w(s_max)], fitted once.
 
         Only for an affine family (module notes).
         """
-        if self.profile is None:
+        if not self.affine:
             raise InvalidInput("profile_path needs a from_asymptotes family")
-        return ChebyshevSeries.fit(self._profile_values, float(self.profile.w[0]),
-                                   float(self.profile.w[-1]))
+        lo, hi = blend(self.s_grid[[0, -1]])
+        return ChebyshevSeries.fit(self._profile_values, float(lo), float(hi))
 
     def profile_path(self) -> SymplecticPath:
-        """The path w -> F(w) over [w^(s_min), w^(s_max)] (module notes).
+        """The path w -> F(w) over [w(s_min), w(s_max)] (module notes).
 
-        Only for an affine family; F(w^(s)) is return_path at s.  The
+        Only for an affine family; F(w(s)) is return_path at s.  The
         path is profile_series, with the series' derivative, when its tail
         converged; otherwise it is F itself, from the increment table.
         """
@@ -464,9 +410,10 @@ class OperatorFamily:
                         right: OperatorCoefficients) -> "OperatorFamily":
         """Monotone interpolation between two frozen asymptotes.
 
-        The family's tables are left + w(s_i) (right - left), with w the
-        shared profile (1 + tanh s)/2 on [-S_SPAN, S_SPAN]; they are never
-        built.  The family is scanned in w (module notes).
+        The family is left + w(s) (right - left), with w the blend
+        (1 + tanh s)/2 on [-S_SPAN, S_SPAN]; its s_grid has S_COUNT
+        points, but no table is sampled on it.  The family is scanned in
+        w (module notes).
         """
         if left.dims != right.dims or left.n_theta != right.n_theta:
             raise InvalidInput("asymptotes must share dimensions and grid")
@@ -474,17 +421,18 @@ class OperatorFamily:
                                                         (left.c, right.c),
                                                         (left.d, right.d)))
         # No edge check (_validate_tables): w moves by 7.6e-12 over each
-        # outer 17 samples, so a table a + w b drifts there by at most
-        # 7.6e-12 max|b| <= 1.6e-11 size, below ASYMPTOTE_TOL max(1, size)
-        # for any asymptotes, NaN and inf included.
-        profile = _shared_profile()
+        # outer 17 grid steps, so the family a + w b drifts there by at
+        # most 7.6e-12 max|b| <= 1.6e-11 size, below ASYMPTOTE_TOL
+        # max(1, size) for any asymptotes, NaN and inf included.
 
         def weights(s):
-            w_s = profile(s)
+            w_s = blend(s)
             return np.array([0, 1]), np.stack([np.ones_like(w_s), w_s], axis=1)
 
         fam = cls.__new__(cls)
-        fam._set_basis(left.dims, profile.s_grid, sets, weights, profile)
+        fam._set_basis(left.dims, np.linspace(-S_SPAN, S_SPAN, S_COUNT), sets, weights)
+        fam._increments = AffineIncrements(fam.dims, fam._nodes, fam._mids)
+        fam._mids = None
         return fam
 
 
@@ -693,25 +641,24 @@ def spectral_flow_matrix(fam: OperatorFamily, tol_sv: float = FLOW_TOL_SV
                          ) -> SpectralFlowResult:
     """Spectral flow as the stratified index of the endpoint-matrix path.
 
-    A from_asymptotes family, whose profile w^ is increasing, is scanned
-    in w: its profile_path w -> F(w) at W_SCAN_INTERVALS intervals, which
-    has the same flow as s -> M(s) = F(w^(s)) because flow does not
-    change under a monotone reparametrization.  That path is the Chebyshev series of F, whose
-    node count doubles from SERIES_DEGREE + 1 until its tail is below
-    SERIES_TAIL_TOL, or F itself if that fails by SERIES_MAX_DEGREE.
-    Each crossing w* is reported at the s* with w^(s*) = w*, with path
-    form w^'(s*) times its form in w; the kernel basis and signature
-    carry over since w^' > 0.  A table family is scanned in s, on
-    return_path at its 512 intervals.  details["scan"] says which ("w"
-    or "s"): it is the parameter of the crossing instants in
-    details["index"].  A w-scan also records details["series_nodes"]
+    A from_asymptotes family, whose blend w is increasing, is scanned in
+    w: its profile_path w -> F(w) at W_SCAN_INTERVALS intervals, which
+    has the same flow as s -> M(s) = F(w(s)) because flow does not
+    change under a monotone reparametrization.  That path is the
+    Chebyshev series of F, whose node count doubles from SERIES_DEGREE +
+    1 until its tail is below SERIES_TAIL_TOL, or F itself if that fails
+    by SERIES_MAX_DEGREE.  Each crossing w* is reported at s* =
+    blend_inverse(w*), with path form w'(s*) = blend_slope(s*) times its
+    form in w; the kernel basis and signature carry over since w' > 0.
+    A table family is scanned in s, on return_path at its 512 intervals.
+    details["scan"] says which ("w" or "s"): it is the parameter of the
+    crossing instants in details["index"].  A w-scan also records details["series_nodes"]
     (None when F itself was scanned) and details["series_tail"], the
     series' relative tail.
     """
     _require_nondegenerate("left", fam.left_kernel, tol_sv)
     _require_nondegenerate("right", fam.right_kernel, tol_sv)
-    profile = fam.profile
-    if profile is None:
+    if not fam.affine:
         path, samples, details = fam.return_path(), None, {"scan": "s"}
     else:
         path, samples = fam.profile_path(), W_SCAN_INTERVALS
@@ -728,9 +675,9 @@ def spectral_flow_matrix(fam: OperatorFamily, tol_sv: float = FLOW_TOL_SV
     crossings = []
     for rep in result.crossings:
         s, form = rep.t, rep.form
-        if profile is not None:
-            s = profile.inverse(rep.t)
-            form = profile.slope(s) * rep.form
+        if fam.affine:
+            s = blend_inverse(rep.t)
+            form = blend_slope(s) * rep.form
         form_blocks, form_reduced = _crossing_block_forms(fam, s, rep.basis)
         crossings.append(FlowCrossing(s, rep.kernel_dim, rep.signature,
                                       form, form_blocks, form_reduced))

@@ -229,6 +229,19 @@ def test_spectralflow_split_tanh(tmp_path, capsys):
     assert len(body["crossings"]) == 1
 
 
+def test_spectralflow_refuses_sample_hint_for_a_dense_family(tmp_path, capsys):
+    # the file's own theta_grid sets the resolution; the option would reach
+    # nothing, so it is refused before the tables are read
+    fam = _write(tmp_path, "dense.json", {"kind": "dense_family", "n": 1, "m": 1,
+                                          "s_grid": [], "theta_grid": [],
+                                          "S": [], "C": [], "D": []})
+    cfg = _write(tmp_path, "cfg.json", {"sample_hint": 32})
+    assert main(["spectralflow", fam, "--config", cfg, "--json"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "INVALID_INPUT"
+    assert "sample_hint" in error["message"]
+
+
 @pytest.mark.parametrize("knob", ["--tol-sv", "--config"])
 def test_spectralflow_refuses_tolerances(tmp_path, capsys, knob):
     fam = _write(tmp_path, "tanh.json", {"kind": "split_tanh", "m": 1})
@@ -382,12 +395,14 @@ def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
 
 
 def test_recorded_json_outputs_repeat_byte_for_byte(tmp_path, capsys):
-    # --json text of two requests of each benchmark pool kind and of one
-    # quadratic system with an interior crossing, so a change to the loop
-    # evaluation or the crossing search cannot move a printed t silently
+    # --json text of two requests of each benchmark pool kind, of one
+    # quadratic system with an interior crossing, and of two spectralflow
+    # families (the anchor, and random_family seed 3 with two interior
+    # crossings), so a change to the loop evaluation, the crossing search
+    # or the blend cannot move a printed t or s silently
     recorded = json.loads((Path(__file__).parent / "data" / "cli_outputs.json")
                           .read_text(encoding="utf-8"))
-    assert len(recorded) == 9
+    assert len(recorded) == 11
     for rec in recorded:
         source = _write(tmp_path, "input.json", rec["input"])
         argv = [source if a == "{input}" else a for a in rec["argv"]]

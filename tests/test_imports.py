@@ -98,8 +98,9 @@ def test_private_names_are_used(module):
     assert not dead, f"{module.name} defines but never uses: {', '.join(dead)}"
 
 
-def _scipy_linalg_imports(tree: ast.Module):
-    """Line of each import from scipy.linalg, at any depth."""
+def _scipy_imports(tree: ast.Module, name: str):
+    """Line of each import from scipy.<name>, at any depth."""
+    target = f"scipy.{name}"
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             modules = [node.module or ""]
@@ -109,7 +110,7 @@ def _scipy_linalg_imports(tree: ast.Module):
             modules = [alias.name for alias in node.names]
         else:
             continue
-        if any(m == "scipy.linalg" or m.startswith("scipy.linalg.") for m in modules):
+        if any(m == target or m.startswith(target + ".") for m in modules):
             yield node.lineno
 
 
@@ -120,5 +121,14 @@ def test_no_scipy_linalg(module):
     helper thread busy-waiting, doubling the CPU of the axiom suites.  The
     package does its small-matrix linear algebra with numpy alone."""
     tree = ast.parse(module.read_text(encoding="utf-8"))
-    lines = list(_scipy_linalg_imports(tree))
+    lines = list(_scipy_imports(tree, "linalg"))
     assert not lines, f"{module.name} imports scipy.linalg at lines {lines}"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_scipy_optimize_only_in_rsindex(module):
+    """The crossing refinement in rsindex.py is the package's one
+    root-finder; any other inverse is closed-form or goes through it."""
+    tree = ast.parse(module.read_text(encoding="utf-8"))
+    lines = [] if module.name == "rsindex.py" else list(_scipy_imports(tree, "optimize"))
+    assert not lines, f"{module.name} imports scipy.optimize at lines {lines}"

@@ -1,5 +1,6 @@
 """Spectral flow by endpoint matrices and by Galerkin truncation."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -216,6 +217,30 @@ def test_crossing_pair_two_grid_steps_apart():
     assert report.ok
 
 
+def _resampled_ends(fam, nsteps):
+    return tuple(path_from_coefficients(coeffs, nsteps=nsteps)
+                 for coeffs in (fam.left_asymptote(), fam.right_asymptote()))
+
+
+def test_main_theorem_check_resamples_ends_at_another_step_count():
+    # asymptote paths at 512 steps for a 256-point family: each end is
+    # integrated again at 512 steps from its own coefficients, exactly
+    fam = random_operator_family(Dimensions(1, 1), seed=42, n_theta=256)
+    left, right = _resampled_ends(fam, 512)
+    report = main_theorem_check(left, right, fam)
+    assert left.nsteps == right.nsteps == 512 != fam.n_theta
+    assert report.ok and report.reproduction_error == 0.0
+    assert report.flow_matrix.value == report.index_difference.as_int() == -1
+
+
+def test_main_theorem_check_rejects_a_perturbed_resampled_end():
+    fam = random_operator_family(Dimensions(1, 1), seed=42, n_theta=256)
+    left, right = _resampled_ends(fam, 512)
+    bent = dataclasses.replace(left, psi=left.psi + 1e-5)
+    with pytest.raises(InvalidInput, match="do not reproduce"):
+        main_theorem_check(bent, right, fam)
+
+
 def _s_scan(fam):
     """The s-scan of the return path at its 512 intervals, by public calls."""
     return rs_index_stratified(fam.return_path(), KernelFamily.dual_slot(fam.dims),
@@ -229,7 +254,7 @@ _SCAN_FAMILIES = [(seed, Dimensions(*((1, 1), (2, 1), (1, 2), (2, 2))[seed % 4])
 
 @pytest.mark.parametrize("seed,dims", _SCAN_FAMILIES)
 def test_w_scan_matches_the_s_scan(seed, dims):
-    # flow does not change under the reparametrization s -> w^(s); each
+    # flow does not change under the reparametrization s -> w(s); each
     # crossing maps back to the s-scan's instant and path form
     fam = (split_tanh_family(alpha=ALPHA) if seed is None
            else random_operator_family(dims, seed=seed))
@@ -246,20 +271,20 @@ def test_w_scan_matches_the_s_scan(seed, dims):
 
 
 def test_w_scan_crossing_reproduces_its_matrix_at_s():
-    # the w-path and return_data_at share one w^ and one increment table
+    # the w-path and return_data_at share one blend and one increment table
     fam = random_operator_family(Dimensions(2, 2), seed=1003)
     res = spectral_flow_matrix(fam)
     (rep,) = res.details["index"].crossings
     (crossing,) = res.crossings
     np.testing.assert_allclose(fam.return_path()(crossing.s), fam.profile_path()(rep.t),
                                rtol=0.0, atol=1e-12)
-    assert abs(fam.profile(np.array([crossing.s]))[0] - rep.t) <= 1e-15
+    assert abs(specflow.blend(np.array([crossing.s]))[0] - rep.t) <= 1e-15
 
 
 def test_table_family_keeps_the_s_scan():
     fam = split_tanh_family(alpha=ALPHA, n_theta=64)
     table_fam = OperatorFamily(fam.dims, fam.s_grid, *_family_tables(fam))
-    assert table_fam.profile is None
+    assert fam.affine and not table_fam.affine
     with pytest.raises(InvalidInput):
         table_fam.profile_path()
     res = spectral_flow_matrix(table_fam)
@@ -519,17 +544,26 @@ def test_drifting_ends_are_rejected():
                        *_blended_tables(left, right, 0.5 + s_grid / 32.0))
 
 
-def test_every_affine_family_shares_one_increasing_frozen_profile():
-    # the shared profile is inverted piece by piece, its control points
-    # bound the increment table's interval [0, 1], and its ends are
-    # frozen far below the edge check of a table family
+def test_every_affine_family_blends_by_the_closed_form_weight():
+    # the blend is frozen at its grid-end weights bit for bit, so the
+    # asymptotes are the given ends, and it increases on the grid while
+    # moving far below the edge check of a table family; each w-scan
+    # crossing goes back to s by blend_inverse, and its form scales by
+    # blend_slope
     fam = split_tanh_family(alpha=ALPHA, n_theta=64)
-    profile = fam.profile
-    assert random_operator_family(Dimensions(1, 1), seed=1000).profile is profile
-    assert fam.s_grid is profile.s_grid
-    assert np.all(np.diff(profile.w) > 0.0)
-    assert np.all(np.diff(profile.control, axis=1) > 0.0)
-    assert 0.0 < profile.control.min() and profile.control.max() < 1.0
-    edge = max(2, int(np.ceil(specflow.EDGE_FRACTION * len(profile.w))))
-    assert np.max(np.abs(profile.w[:edge] - profile.w[0])) <= 1e-11
-    assert np.max(np.abs(profile.w[-edge:] - profile.w[-1])) <= 1e-11
+    ends = 0.5 * (1.0 + np.tanh(fam.s_grid))[[0, -1]]
+    far = np.array([-40.0, fam.s_min, fam.s_max, 40.0])
+    assert np.array_equal(specflow.blend(far), ends[[0, 0, 1, 1]])
+    on_grid = specflow.blend(fam.s_grid)
+    assert np.all(np.diff(on_grid) > 0.0)
+    edge = max(2, int(np.ceil(specflow.EDGE_FRACTION * len(on_grid))))
+    assert np.max(np.abs(on_grid[:edge] - on_grid[0])) <= 1e-11
+    assert np.max(np.abs(on_grid[-edge:] - on_grid[-1])) <= 1e-11
+    w = np.linspace(*ends, 2001)
+    back = specflow.blend(np.array([specflow.blend_inverse(x) for x in w]))
+    assert np.max(np.abs(back - w)) <= 2.3e-16
+    s = np.linspace(-4.0, 4.0, 801)
+    assert max(abs(specflow.blend_inverse(x) - y) for x, y in zip(specflow.blend(s), s)) <= 1e-12
+    h = 1e-6
+    central = (specflow.blend(s + h) - specflow.blend(s - h)) / (2 * h)
+    assert np.max(np.abs(central - [specflow.blend_slope(x) for x in s])) <= 1e-9
