@@ -28,8 +28,9 @@ from .flows import (CriticalPoint, CriticalPointReport, ExtendedFlowReport,
                     transform_system)
 from .systems import (quadratic_system, radial_system,
                       random_quadratic_system, split_system)
-from .specflow import (AsymptoticKernel, FlowCrossing, MainTheoremReport,
-                       OperatorFamily, SpectralFlowResult, asymptotic_kernel,
+from .specflow import (AsymptoticKernel, BlendFamily, FlowCrossing,
+                       MainTheoremReport, OperatorFamily, SpectralFlowResult,
+                       TableFamily, asymptotic_kernel,
                        galerkin_matrix, main_theorem_check,
                        random_operator_family, spectral_flow_galerkin,
                        spectral_flow_matrix, split_tanh_family)
@@ -58,8 +59,8 @@ __all__ = [
     "transform_system",
     "quadratic_system", "radial_system", "random_quadratic_system",
     "split_system",
-    "AsymptoticKernel", "FlowCrossing", "MainTheoremReport",
-    "OperatorFamily", "SpectralFlowResult", "asymptotic_kernel",
+    "AsymptoticKernel", "BlendFamily", "FlowCrossing", "MainTheoremReport",
+    "OperatorFamily", "SpectralFlowResult", "TableFamily", "asymptotic_kernel",
     "galerkin_matrix", "main_theorem_check",
     "random_operator_family", "spectral_flow_galerkin",
     "spectral_flow_matrix", "split_tanh_family",

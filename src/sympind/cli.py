@@ -32,7 +32,7 @@ from .rabinowitz import (RabinowitzData, rabinowitz_block_family,
                          rabinowitz_index)
 from .rsindex import IndexResult, rs_index, rs_index_stratified
 from .snm import Dimensions
-from .specflow import (OperatorFamily, random_operator_family,
+from .specflow import (OperatorFamily, TableFamily, random_operator_family,
                        spectral_flow_galerkin, spectral_flow_matrix,
                        split_tanh_family)
 from .suites import SUITE_NAMES, run_suite
@@ -135,10 +135,10 @@ def _load_family_file(family_file: str, cfg: RunConfig) -> OperatorFamily:
         if len(theta) and float(np.max(np.abs(theta - want))) > 1e-12:
             raise InvalidInput("theta_grid must be the uniform grid j/N on [0, 1)")
         s_grid = _as_array(data["s_grid"], "s_grid", ndim=1)
-        return OperatorFamily(dims, s_grid,
-                              _as_array(data["S"], "S", ndim=4),
-                              _as_array(data["C"], "C", ndim=4),
-                              _as_array(data["D"], "D", ndim=4))
+        return TableFamily(dims, s_grid,
+                           _as_array(data["S"], "S", ndim=4),
+                           _as_array(data["C"], "C", ndim=4),
+                           _as_array(data["D"], "D", ndim=4))
     if kind == "random_family":
         _require(data, kind, "seed")
         dims = Dimensions(int(data.get("n", 1)), int(data.get("m", 1)))

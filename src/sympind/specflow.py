@@ -20,17 +20,17 @@ reports carry the quadratic-form matrices computed three ways (from the
 path derivative, from the endpoint-block display, and from the reduced
 (zeta_0, ell) display) so their agreement can be asserted.
 
-A table family is the componentwise cubic spline in s of its
-coefficient tables; a family between two asymptotes is their blend
-left + w(s) (right - left).  Both, and the generator K of the theta-ODE,
-are linear in the coefficients, so a family is stored as a few basis
-coefficient sets B_k with their K tables, built once, and per-s weights
-u_k(s): K(s) = sum_k u_k(s) K(B_k), summed term by term in a fixed
-order, so an s value's return data is the same in every batch (see
-OperatorFamily).  A blend is affine in one scalar, so its RK4 step
-increments are tabulated once and combined per s instead.
-Each end's kernel is integrated once per family and shared by the
-generator's retry, spectral_flow_matrix and main_theorem_check.
+A TableFamily is the componentwise cubic spline in s of its coefficient
+tables; a BlendFamily of two asymptotes is left + w(s) (right - left).
+The generator K of the theta-ODE is linear in the coefficients, and so
+is a spline, so a table family keeps the K tables of its rows and of
+their spline node slopes, built once, and forms K(s) from four of them
+with cubic Hermite weights, term by term in a fixed order, so an s
+value's return data is the same in every batch.  A blend is affine in
+one scalar, so its RK4 step increments are tabulated once and combined
+per s instead.  Each end's kernel is integrated once per family
+(OperatorFamily) and shared by the generator's retry,
+spectral_flow_matrix and main_theorem_check.
 
 With its ends fixed, spectral flow is a homotopy invariant, so the
 weight blending two asymptotes cannot change any flow: every such
@@ -84,7 +84,6 @@ from .rsindex import endpoint_phase, is_nondegenerate, rs_index_stratified
 from .snm import Dimensions, SnmElement, assemble_blocks, reduced_return_matrix
 
 S_SPAN = 16.0
-S_COUNT = 161
 ASYMPTOTE_TOL = 1e-9
 EDGE_FRACTION = 0.1
 GALERKIN_MODES = 32
@@ -97,6 +96,7 @@ SERIES_DEGREE = 16
 SERIES_MAX_DEGREE = 128
 SERIES_TAIL_TOL = 1e-14
 _S_CHUNK = 64
+_ROW_CHUNK = 32
 
 
 def _spline_slopes(s_grid: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -128,16 +128,17 @@ def _hermite(s_grid: np.ndarray, s: np.ndarray):
 
 
 def _combine(sets: np.ndarray, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_j u[:, j] sets[idx[..., j]], one term at a time, elementwise.
+    """sum_j u[:, j] sets[idx[:, j]], one term at a time, elementwise.
 
-    idx is (B, k), or (k,) when every s uses the same sets.  The terms
-    are added in a fixed order by elementwise operations only, so the
-    value for one s does not depend on the batch it is part of.
+    idx and u are (B, k): the k set indices of each of B values of s and
+    their weights.  The terms are added in a fixed order by elementwise
+    operations only, so the value for one s does not depend on the batch
+    it is part of.
     """
     shape = (len(u),) + (1,) * (sets.ndim - 1)
-    out = u[:, 0].reshape(shape) * sets[idx[..., 0]]
+    out = u[:, 0].reshape(shape) * sets[idx[:, 0]]
     for j in range(1, u.shape[1]):
-        out += u[:, j].reshape(shape) * sets[idx[..., j]]
+        out += u[:, j].reshape(shape) * sets[idx[:, j]]
     return out
 
 
@@ -226,104 +227,14 @@ def blend_slope(s: float) -> float:
 
 
 class OperatorFamily:
-    """Loop coefficients (S, C, D) over an s-interval with frozen ends.
+    """Loop coefficients (S, C, D) over [s_min, s_max] with frozen ends.
 
-    A table family is, between its s-grid points, the componentwise
-    not-a-knot cubic spline of its samples at (s_i, theta_j), theta_j =
-    j/N, and outside the grid it is frozen at the end samples.  A family
-    between two asymptotes (from_asymptotes) is their blend left + w(s)
-    (right - left), w the blend weight (module notes).  Either is stored
-    as a few basis coefficient sets B_k and per-s weights u_k(s):
-
-        (S, C, D)(s) = sum_k u_k(s) B_k.
-
-    The generator K of the theta-ODE (coefficients.py) is linear in
-    (S, C, D), and so is its spectral midpoint table, so the K tables of
-    every B_k are built once, here, and K(s) = sum_k u_k(s) K(B_k) for
-    any s.  Spline interpolation is linear in the data too, so a table
-    family is the componentwise spline up to rounding:
-
-    * the table constructor keeps the table rows and their spline node
-      slopes as sets; u(s) holds the cubic Hermite weights of the
-      interval containing s, so each s combines four sets;
-    * from_asymptotes keeps the two sets (left, right - left) with
-      u(s) = (1, w(s)).
-
-    The sums run term by term in a fixed order with elementwise
-    operations, so an s value's K tables, and its return data, do not
-    depend on the batch it is evaluated in.  At the grid ends u is exact,
-    so the asymptotes are the end samples bit for bit.  Only the node
-    and midpoint K tables of the sets are kept; coefficients_at reads
-    (S, C, D) back from the node tables, exactly.
-
-    An affine family's K(s) = K(left) + w(s) K(right - left) has RK4
-    step increments of degree 4 in w (coefficients.AffineIncrements).
-    They are tabulated once, here, at 5 Chebyshev nodes of [0, 1], which
-    holds the whole range of w, and return_data_at combines them with
-    each s value's Lagrange weights, one stacked product per s so that
-    the batch does not change the rounding; the affine family keeps no
-    midpoint tables and builds no K tables per s.  Each end's
-    AsymptoticKernel is integrated once, on first use.
-
-    affine says which kind a family is.  An affine family's profile_path
-    is the path w -> F(w) over [w(s_min), w(s_max)], where
-    return_data_at(s) is F(w(s)), and spectral_flow_matrix scans it at
-    W_SCAN_INTERVALS intervals instead of return_path at 512.  That path
-    is the Chebyshev series profile_series, fitted once from the same
-    increment table with as many nodes as its tail needs, or F itself
-    when the tail has not converged by SERIES_MAX_DEGREE (module notes).
+    The part BlendFamily and TableFamily share: the asymptotes, each
+    end's AsymptoticKernel, integrated once on first use, and the return
+    path s -> M(s, 1).  A subclass gives dims, n_theta, s_min, s_max,
+    coefficients_at(s) and _return_data_chunk, the return data of one
+    chunk of s values.
     """
-
-    def __init__(self, dims: Dimensions, s_grid: np.ndarray, s_table: np.ndarray,
-                 c_table: np.ndarray, d_table: np.ndarray):
-        s_grid = np.asarray(s_grid, dtype=float)
-        if len(s_grid) < 8:
-            raise ShapeError("s_grid needs at least 8 points")
-        if np.any(np.diff(s_grid) <= 0):
-            raise InvalidInput("s_grid must be strictly increasing")
-        ns = len(s_grid)
-        tables = tuple(np.asarray(t, dtype=float) for t in (s_table, c_table, d_table))
-        n_theta = tables[0].shape[1] if tables[0].ndim > 1 else 0
-        for name, table, block in zip("SCD", tables, ((dims.loop, dims.loop),
-                                                       (dims.m, dims.loop),
-                                                       (dims.m, dims.m))):
-            if table.shape != (ns, n_theta) + block:
-                raise ShapeError(f"{name} table shape mismatch")
-        _validate_tables(tables)
-        sets = tuple(np.concatenate([t, _spline_slopes(s_grid, t)]) for t in tables)
-
-        def weights(s):
-            i, h = _hermite(s_grid, s)
-            return np.stack([i, ns + i, i + 1, ns + i + 1], axis=1), h
-
-        self._set_basis(dims, s_grid, sets, weights)
-
-    def _set_basis(self, dims: Dimensions, s_grid: np.ndarray, sets, weights) -> None:
-        """Build the basis sets' K tables; store them and the weight rule.
-
-        weights maps an array of s values to the set indices and weights
-        (idx, u) that _combine takes.  The sets themselves are not kept:
-        coefficients_at reads them back from the node tables.
-        """
-        self.dims = dims
-        self.s_grid = s_grid
-        self.n_theta = sets[0].shape[1]
-        self._weights = weights
-        self._nodes, self._mids = generator_tables(dims, *sets)
-        self._increments = None
-
-    @property
-    def affine(self) -> bool:
-        """True for a from_asymptotes family, False for a table family."""
-        return self._increments is not None
-
-    @property
-    def s_min(self) -> float:
-        return float(self.s_grid[0])
-
-    @property
-    def s_max(self) -> float:
-        return float(self.s_grid[-1])
 
     def left_asymptote(self) -> OperatorCoefficients:
         return self.coefficients_at(self.s_min)
@@ -341,31 +252,16 @@ class OperatorFamily:
         """Kernel of the right asymptote, integrated on first use."""
         return asymptotic_kernel(self.right_asymptote())
 
-    def coefficients_at(self, s: float) -> OperatorCoefficients:
-        """(S, C, D) at s, read back from the combined K node table."""
-        idx, u = self._weights(np.array([float(s)]))
-        k = _combine(self._nodes, idx, u)[0, :-1]
-        return OperatorCoefficients(self.dims, *generator_coefficients(self.dims, k))
-
     def return_data_at(self, s_batch: np.ndarray):
         """(Psi, X, E) at theta = 1 for a batch of s values.
 
-        The batch is propagated _S_CHUNK s values at a time.  An affine
-        family combines each s value's step increments from its table;
-        otherwise the chunk's K tables are combined from the basis
-        tables, so the K tables of a long scan grid are never all live
+        The batch is propagated _S_CHUNK s values at a time, so the K
+        tables or step increments of a long scan grid are never all live
         at once.  An s value's return data does not depend on the chunk
         it falls in.
         """
         return _in_chunks(self._return_data_chunk,
                           np.atleast_1d(np.asarray(s_batch, dtype=float)))
-
-    def _return_data_chunk(self, s: np.ndarray):
-        idx, u = self._weights(s)
-        if self._increments is not None:
-            return self._increments.return_data(u[:, 1])
-        return return_data(self.dims, _combine(self._nodes, idx, u),
-                           _combine(self._mids, idx, u))
 
     def return_path(self) -> SymplecticPath:
         """The path s -> M(s, 1) as a vectorized symplectic path."""
@@ -377,27 +273,69 @@ class OperatorFamily:
         return SymplecticPath((self.s_min, self.s_max), evaluate,
                               jmat=dims.j_ext(), sample_hint=512)
 
+
+class BlendFamily(OperatorFamily):
+    """The blend left + w(s) (right - left) of two frozen asymptotes.
+
+    w is the blend weight (1 + tanh s)/2 on [s_min, s_max] = [-S_SPAN,
+    S_SPAN] (module notes).  The family keeps the two sets (left,
+    right - left) and coefficients_at(s) is left + w(s) (right - left)
+    on them; w(-+S_SPAN) is not exactly 0 or 1.  Its generator K(left) +
+    w K(right - left) has RK4 step increments of degree 4 in w
+    (coefficients.AffineIncrements).  They are tabulated once, here, at
+    5 Chebyshev nodes of [0, 1], which holds the whole range of w, and
+    each chunk of return_data_at combines them with each s value's
+    Lagrange weights, one stacked product per s so that the batch does
+    not change the rounding; no K table is kept or built per s.
+
+    profile_path is the path w -> F(w) over [w(s_min), w(s_max)], where
+    return_data_at(s) is F(w(s)), and spectral_flow_matrix scans it at
+    W_SCAN_INTERVALS intervals instead of return_path at 512.  That path
+    is the Chebyshev series profile_series, fitted once from the same
+    increment table with as many nodes as its tail needs, or F itself
+    when the tail has not converged by SERIES_MAX_DEGREE (module notes).
+    """
+
+    s_min, s_max = -S_SPAN, S_SPAN
+
+    def __init__(self, left: OperatorCoefficients, right: OperatorCoefficients):
+        if left.dims != right.dims or left.n_theta != right.n_theta:
+            raise InvalidInput("asymptotes must share dimensions and grid")
+        self.dims, self.n_theta = left.dims, left.n_theta
+        self._sets = tuple(np.stack([a, b - a]) for a, b in ((left.s, right.s),
+                                                              (left.c, right.c),
+                                                              (left.d, right.d)))
+        # No edge check (_validate_tables): w moves by 7.6e-12 over each
+        # outer tenth of [s_min, s_max], so the family drifts there by at
+        # most 7.6e-12 max|right - left| <= 1.6e-11 size, below
+        # ASYMPTOTE_TOL max(1, size) for any asymptotes.
+        self._increments = AffineIncrements(self.dims,
+                                            *generator_tables(self.dims, *self._sets))
+
+    def coefficients_at(self, s: float) -> OperatorCoefficients:
+        """(S, C, D) at s: left + w(s) (right - left)."""
+        w = blend(np.array([float(s)]))[0]
+        return OperatorCoefficients(self.dims, *(a + w * b for a, b in self._sets))
+
+    def _return_data_chunk(self, s: np.ndarray):
+        return self._increments.return_data(blend(s))
+
     def _profile_values(self, w: np.ndarray) -> np.ndarray:
         """F(w) from the increment table, _S_CHUNK values of w at a time."""
         return assemble_blocks(self.dims, *_in_chunks(self._increments.return_data, w))
 
     @cached_property
     def profile_series(self) -> ChebyshevSeries:
-        """The Chebyshev series of F over [w(s_min), w(s_max)], fitted once.
-
-        Only for an affine family (module notes).
-        """
-        if not self.affine:
-            raise InvalidInput("profile_path needs a from_asymptotes family")
-        lo, hi = blend(self.s_grid[[0, -1]])
+        """The Chebyshev series of F over [w(s_min), w(s_max)], fitted once."""
+        lo, hi = blend(np.array([self.s_min, self.s_max]))
         return ChebyshevSeries.fit(self._profile_values, float(lo), float(hi))
 
     def profile_path(self) -> SymplecticPath:
         """The path w -> F(w) over [w(s_min), w(s_max)] (module notes).
 
-        Only for an affine family; F(w(s)) is return_path at s.  The
-        path is profile_series, with the series' derivative, when its tail
-        converged; otherwise it is F itself, from the increment table.
+        F(w(s)) is return_path at s.  The path is profile_series, with
+        the series' derivative, when its tail converged; otherwise it is
+        F itself, from the increment table.
         """
         series = self.profile_series
         domain = (series.lo, series.hi)
@@ -405,39 +343,88 @@ class OperatorFamily:
             return SymplecticPath(domain, series, series.deriv, jmat=self.dims.j_ext())
         return SymplecticPath(domain, self._profile_values, jmat=self.dims.j_ext())
 
-    @classmethod
-    def from_asymptotes(cls, left: OperatorCoefficients,
-                        right: OperatorCoefficients) -> "OperatorFamily":
-        """Monotone interpolation between two frozen asymptotes.
 
-        The family is left + w(s) (right - left), with w the blend
-        (1 + tanh s)/2 on [-S_SPAN, S_SPAN]; its s_grid has S_COUNT
-        points, but no table is sampled on it.  The family is scanned in
-        w (module notes).
-        """
-        if left.dims != right.dims or left.n_theta != right.n_theta:
-            raise InvalidInput("asymptotes must share dimensions and grid")
-        sets = tuple(np.stack([a, b - a]) for a, b in ((left.s, right.s),
-                                                        (left.c, right.c),
-                                                        (left.d, right.d)))
-        # No edge check (_validate_tables): w moves by 7.6e-12 over each
-        # outer 17 grid steps, so the family a + w b drifts there by at
-        # most 7.6e-12 max|b| <= 1.6e-11 size, below ASYMPTOTE_TOL
-        # max(1, size) for any asymptotes, NaN and inf included.
+class TableFamily(OperatorFamily):
+    """The componentwise cubic spline in s of sampled coefficient tables.
 
-        def weights(s):
-            w_s = blend(s)
-            return np.array([0, 1]), np.stack([np.ones_like(w_s), w_s], axis=1)
+    Between its s-grid points the family is the componentwise
+    not-a-knot cubic spline of its samples at (s_i, theta_j), theta_j =
+    j/N, and outside the grid it is frozen at the end samples.  The
+    generator K of the theta-ODE (coefficients.py) is linear in (S, C,
+    D), and so are its spectral midpoint table and the spline.  So the
+    family keeps the node and midpoint K tables of 2 ns basis sets, the
+    table rows and their spline node slopes, and K(s) is the sum of four
+    of them with the cubic Hermite weights of the interval containing s.
+    The slope half is the slope map (_spline_slopes) applied to the
+    rows' K tables, which are written in place _ROW_CHUNK rows at a
+    time, so neither the slope sets nor a copy of the tables is built.
+    The sums run term by term in a fixed order with elementwise
+    operations (_combine), so an s value's K tables, and its return
+    data, do not depend on the batch it is evaluated in.  At the grid
+    ends the weights are exact, so the asymptotes are the end samples
+    bit for bit; coefficients_at reads (S, C, D) back from the node
+    tables, exactly.  spectral_flow_matrix scans the family in s.
+    """
 
-        fam = cls.__new__(cls)
-        fam._set_basis(left.dims, np.linspace(-S_SPAN, S_SPAN, S_COUNT), sets, weights)
-        fam._increments = AffineIncrements(fam.dims, fam._nodes, fam._mids)
-        fam._mids = None
-        return fam
+    def __init__(self, dims: Dimensions, s_grid: np.ndarray, s_table: np.ndarray,
+                 c_table: np.ndarray, d_table: np.ndarray):
+        s_grid = np.asarray(s_grid, dtype=float)
+        if len(s_grid) < 8:
+            raise ShapeError("s_grid needs at least 8 points")
+        if not (np.all(np.isfinite(s_grid)) and np.all(np.diff(s_grid) > 0)):
+            raise InvalidInput("s_grid must be finite and strictly increasing")
+        ns = len(s_grid)
+        tables = tuple(np.asarray(t, dtype=float) for t in (s_table, c_table, d_table))
+        n_theta = tables[0].shape[1] if tables[0].ndim > 1 else 0
+        for name, table, block in zip("SCD", tables, ((dims.loop, dims.loop),
+                                                       (dims.m, dims.loop),
+                                                       (dims.m, dims.m))):
+            if table.shape != (ns, n_theta) + block:
+                raise ShapeError(f"{name} table shape mismatch")
+        _validate_tables(tables)
+        self.dims, self.s_grid, self.n_theta = dims, s_grid, n_theta
+        size = dims.loop + dims.m
+        self._nodes = np.empty((2 * ns, n_theta + 1, size, size))
+        self._mids = np.empty((2 * ns, n_theta, size, size))
+        for i in range(0, ns, _ROW_CHUNK):
+            rows = slice(i, min(i + _ROW_CHUNK, ns))
+            self._nodes[rows], self._mids[rows] = generator_tables(
+                dims, *(t[rows] for t in tables))
+        for k in (self._nodes, self._mids):
+            k[ns:] = _spline_slopes(s_grid, k[:ns])
+        # the wrap node is node 0 exactly, as generator_tables makes it
+        self._nodes[ns:, -1] = self._nodes[ns:, 0]
+
+    @property
+    def s_min(self) -> float:
+        return float(self.s_grid[0])
+
+    @property
+    def s_max(self) -> float:
+        return float(self.s_grid[-1])
+
+    def _weights(self, s: np.ndarray):
+        """The set indices and Hermite weights (idx, u) of each s, for _combine."""
+        i, u = _hermite(self.s_grid, s)
+        ns = len(self.s_grid)
+        return np.stack([i, ns + i, i + 1, ns + i + 1], axis=1), u
+
+    def coefficients_at(self, s: float) -> OperatorCoefficients:
+        """(S, C, D) at s, read back from the combined K node table."""
+        idx, u = self._weights(np.array([float(s)]))
+        k = _combine(self._nodes, idx, u)[0, :-1]
+        return OperatorCoefficients(self.dims, *generator_coefficients(self.dims, k))
+
+    def _return_data_chunk(self, s: np.ndarray):
+        idx, u = self._weights(s)
+        return return_data(self.dims, _combine(self._nodes, idx, u),
+                           _combine(self._mids, idx, u))
 
 
 def _validate_tables(tables) -> None:
-    """S and D tables symmetric, every table constant on its outer edges."""
+    """Every table finite and constant on its outer edges, S and D symmetric."""
+    if not all(np.all(np.isfinite(t)) for t in tables):
+        raise InvalidInput("S, C and D tables must be finite")
     for name, arr in (("S", tables[0]), ("D", tables[2])):
         if arr.size:
             dev = float(np.max(np.abs(arr - np.swapaxes(arr, -1, -2))))
@@ -489,7 +476,7 @@ def random_coefficients(dims: Dimensions, rng: np.random.Generator,
 
 
 def random_operator_family(dims: Dimensions, seed: int, n_theta: int = 512,
-                           degree: int = 3, alpha: float = 0.8) -> OperatorFamily:
+                           degree: int = 3, alpha: float = 0.8) -> BlendFamily:
     """Seeded family with nondegenerate asymptotes (retrying the draw).
 
     Both asymptotes of the family must pass is_nondegenerate at
@@ -497,11 +484,13 @@ def random_operator_family(dims: Dimensions, seed: int, n_theta: int = 512,
     the kernels it was checked with.  The retry is deterministic in the
     seed, with at most 16 draws.
     """
+    if not np.isfinite(alpha):
+        raise InvalidInput("alpha must be finite")
     rng = np.random.default_rng(seed)
     for _ in range(16):
         left = random_coefficients(dims, rng, n_theta, degree, alpha)
         right = random_coefficients(dims, rng, n_theta, degree, alpha)
-        fam = OperatorFamily.from_asymptotes(left, right)
+        fam = BlendFamily(left, right)
         if (is_nondegenerate(fam.left_kernel.element, FLOW_TOL_SV)
                 and is_nondegenerate(fam.right_kernel.element, FLOW_TOL_SV)):
             return fam
@@ -509,7 +498,7 @@ def random_operator_family(dims: Dimensions, seed: int, n_theta: int = 512,
 
 
 def split_tanh_family(alpha: float = 1.2, m: int = 1, n: int = 1,
-                      n_theta: int = 512) -> OperatorFamily:
+                      n_theta: int = 512) -> BlendFamily:
     """Uncoupled anchor family: S = alpha I fixed, D sweeping -I to +I.
 
     For 0 < alpha < pi the flow is +m: each parameter direction carries
@@ -525,7 +514,7 @@ def split_tanh_family(alpha: float = 1.2, m: int = 1, n: int = 1,
     dp = np.broadcast_to(np.eye(m), (n_theta, m, m)).copy()
     left = OperatorCoefficients(dims, s0, c0, dm)
     right = OperatorCoefficients(dims, s0, c0, dp)
-    return OperatorFamily.from_asymptotes(left, right)
+    return BlendFamily(left, right)
 
 
 @dataclass
@@ -641,30 +630,31 @@ def spectral_flow_matrix(fam: OperatorFamily, tol_sv: float = FLOW_TOL_SV
                          ) -> SpectralFlowResult:
     """Spectral flow as the stratified index of the endpoint-matrix path.
 
-    A from_asymptotes family, whose blend w is increasing, is scanned in
-    w: its profile_path w -> F(w) at W_SCAN_INTERVALS intervals, which
-    has the same flow as s -> M(s) = F(w(s)) because flow does not
-    change under a monotone reparametrization.  That path is the
+    A BlendFamily, whose blend w is increasing, is scanned in w: its
+    profile_path w -> F(w) at W_SCAN_INTERVALS intervals, which has the
+    same flow as s -> M(s) = F(w(s)) because flow does not change under
+    a monotone reparametrization.  That path is the
     Chebyshev series of F, whose node count doubles from SERIES_DEGREE +
     1 until its tail is below SERIES_TAIL_TOL, or F itself if that fails
     by SERIES_MAX_DEGREE.  Each crossing w* is reported at s* =
     blend_inverse(w*), with path form w'(s*) = blend_slope(s*) times its
     form in w; the kernel basis and signature carry over since w' > 0.
-    A table family is scanned in s, on return_path at its 512 intervals.
+    A TableFamily is scanned in s, on return_path at its 512 intervals.
     details["scan"] says which ("w" or "s"): it is the parameter of the
-    crossing instants in details["index"].  A w-scan also records details["series_nodes"]
-    (None when F itself was scanned) and details["series_tail"], the
-    series' relative tail.
+    crossing instants in details["index"].  A w-scan also records
+    details["series_nodes"] (None when F itself was scanned) and
+    details["series_tail"], the series' relative tail.
     """
     _require_nondegenerate("left", fam.left_kernel, tol_sv)
     _require_nondegenerate("right", fam.right_kernel, tol_sv)
-    if not fam.affine:
-        path, samples, details = fam.return_path(), None, {"scan": "s"}
-    else:
+    in_w = isinstance(fam, BlendFamily)
+    if in_w:
         path, samples = fam.profile_path(), W_SCAN_INTERVALS
         series = fam.profile_series
         details = {"scan": "w", "series_tail": series.tail,
                    "series_nodes": series.nodes if series.converged else None}
+    else:
+        path, samples, details = fam.return_path(), None, {"scan": "s"}
     family = KernelFamily.dual_slot(fam.dims)
     result = rs_index_stratified(path, family, tol_sv=tol_sv, samples=samples,
                                  validate=False)
@@ -675,7 +665,7 @@ def spectral_flow_matrix(fam: OperatorFamily, tol_sv: float = FLOW_TOL_SV
     crossings = []
     for rep in result.crossings:
         s, form = rep.t, rep.form
-        if fam.affine:
+        if in_w:
             s = blend_inverse(rep.t)
             form = blend_slope(s) * rep.form
         form_blocks, form_reduced = _crossing_block_forms(fam, s, rep.basis)

@@ -242,6 +242,32 @@ def test_spectralflow_refuses_sample_hint_for_a_dense_family(tmp_path, capsys):
     assert "sample_hint" in error["message"]
 
 
+def _dense_family_with_nan(nan_in):
+    """An 8 x 32 dense_family body (S = 1.2 I, D = -1, flow 0), valid but
+    for one NaN in s_grid or in S."""
+    s_grid = np.linspace(-1.0, 1.0, 8)
+    s_table = np.broadcast_to(1.2 * np.eye(2), (8, 32, 2, 2)).copy()
+    (s_grid if nan_in == "s_grid" else s_table).flat[3] = np.nan
+    return {"kind": "dense_family", "n": 1, "m": 1, "s_grid": s_grid.tolist(),
+            "theta_grid": (np.arange(32) / 32).tolist(), "S": s_table.tolist(),
+            "C": np.zeros((8, 32, 1, 2)).tolist(),
+            "D": (-np.ones((8, 32, 1, 1))).tolist()}
+
+
+@pytest.mark.parametrize("family", [
+    _dense_family_with_nan("s_grid"), _dense_family_with_nan("S"),
+    {"kind": "random_family", "seed": 0, "alpha": float("nan")},
+    {"kind": "random_family", "seed": 0, "alpha": float("inf")}],
+    ids=["s_grid-nan", "S-nan", "alpha-nan", "alpha-inf"])
+def test_spectralflow_refuses_non_finite_family_input(tmp_path, capsys, family):
+    # json reads NaN and Infinity; they must not reach a spline or a solve
+    rc = main(["spectralflow", _write(tmp_path, "family.json", family), "--json"])
+    assert rc == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "INVALID_INPUT"
+    assert "finite" in error["message"]
+
+
 @pytest.mark.parametrize("knob", ["--tol-sv", "--config"])
 def test_spectralflow_refuses_tolerances(tmp_path, capsys, knob):
     fam = _write(tmp_path, "tanh.json", {"kind": "split_tanh", "m": 1})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from sympind import (Dimensions, OperatorCoefficients, OperatorFamily,
+from sympind import (BlendFamily, Dimensions, OperatorCoefficients,
                      coefficients_from_path, loop_identity_residuals,
                      path_from_coefficients)
 from sympind import coefficients
@@ -210,7 +210,7 @@ def test_affine_return_data_blowup_is_checked_after_the_last_partial_block():
     # J0 S = diag(-25, 25) on N = 100: |Psi| passes 1e8 after step 64
     coeffs = _constant_coeffs(Dimensions(1, 0), [[0.0, 25.0], [25.0, 0.0]],
                               [], [], n_theta=100)
-    fam = OperatorFamily.from_asymptotes(coeffs, coeffs)
+    fam = BlendFamily(coeffs, coeffs)
     with pytest.raises(IntegratorBlowup, match="at step 100"):
         fam.return_data_at(np.array([0.0]))
 
@@ -223,10 +223,10 @@ def test_affine_return_data_matches_single_path(case):
     rng = np.random.default_rng(71)
     left, right = (random_coefficients(dims, rng) for _ in range(2))
     if case == "constant":
-        fam = OperatorFamily.from_asymptotes(left, left)
+        fam = BlendFamily(left, left)
         s_vals = np.array([fam.s_min, 0.3, fam.s_max])
     else:
-        fam = OperatorFamily.from_asymptotes(left, right)
+        fam = BlendFamily(left, right)
         s_vals = np.array([fam.s_min - 5.0, fam.s_min - 0.5, fam.s_max + 0.5,
                            fam.s_max + 5.0])
     psi, x, e = fam.return_data_at(s_vals)

@@ -1,7 +1,7 @@
 """The evaluator rule: callbacks get a 1-D array, a scalar t is one entry.
 
 Every constructor and combinator of paths.py, plus perturb_stratified,
-OperatorFamily.return_path and OperatorFamily.profile_path, is built
+OperatorFamily.return_path and BlendFamily.profile_path, is built
 over recording callbacks where it takes any; a scalar t must give
 exactly the first entry of the batch [t], and every callback must only
 ever see 1-D float arrays.
@@ -105,7 +105,7 @@ PATHS = {
     "perturb_stratified": _perturbed,
     "perturb_stratified-snm": _perturbed_snm,
     "OperatorFamily.return_path": _return_path,
-    "OperatorFamily.profile_path": _profile_path,
+    "BlendFamily.profile_path": _profile_path,
 }
 # built from closed-form data only: no callback to record
 CLOSED = {"constant_path", "exp_path", "exp_shear_path"}

@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from sympind import (Dimensions, KernelFamily, OperatorCoefficients,
-                     OperatorFamily, coefficients, path_from_coefficients,
-                     rs_index_stratified, spectral_flow_galerkin,
-                     spectral_flow_matrix, specflow)
+from sympind import (BlendFamily, Dimensions, KernelFamily, OperatorCoefficients,
+                     OperatorFamily, TableFamily, coefficients,
+                     path_from_coefficients, rs_index_stratified,
+                     spectral_flow_galerkin, spectral_flow_matrix, specflow)
 from sympind.cli import main
 from sympind.coefficients import generator_tables, return_data
 from sympind.errors import (DegenerateAsymptote, InvalidInput, ShapeError,
                             TruncationUnstable)
 from sympind.linalg import inertia, sym_part
-from sympind.specflow import (FLOW_TOL_SV, asymptotic_kernel, fourier_profiles,
+from sympind.specflow import (FLOW_TOL_SV, S_SPAN, asymptotic_kernel, fourier_profiles,
                               galerkin_matrix, main_theorem_check,
                               random_operator_family, random_trig_samples,
                               split_tanh_family)
@@ -87,7 +87,7 @@ def _einsum_galerkin_matrix(coeffs, modes):
                                        (1003, Dimensions(2, 2))])
 def test_galerkin_matrix_matches_einsum_reference(seed, dims):
     fam = random_operator_family(dims, seed=seed)
-    for s in (fam.s_grid[0], -0.7, 0.0, 1.3, fam.s_grid[-1]):
+    for s in (fam.s_min, -0.7, 0.0, 1.3, fam.s_max):
         coeffs = fam.coefficients_at(s)
         got = galerkin_matrix(coeffs, GALERKIN_K)
         want = _einsum_galerkin_matrix(coeffs, GALERKIN_K)
@@ -138,21 +138,20 @@ def test_degenerate_asymptote_found_by_both_methods():
 
     healthy = _anchor_coeffs(1.0)
     assert asymptotic_kernel(healthy).dimension == 0
-    fam = OperatorFamily.from_asymptotes(degenerate, healthy)
+    fam = BlendFamily(degenerate, healthy)
     with pytest.raises(DegenerateAsymptote):
         spectral_flow_matrix(fam)
 
 
 def test_near_kernel_asymptote_fails_truncation_guard():
-    fam = OperatorFamily.from_asymptotes(_anchor_coeffs(-1.0),
-                                         _anchor_coeffs(1e-12))
+    fam = BlendFamily(_anchor_coeffs(-1.0), _anchor_coeffs(1e-12))
     with pytest.raises(TruncationUnstable):
         spectral_flow_galerkin(fam, modes=8)
 
 
 def test_constant_family_has_zero_flow():
     left = _anchor_coeffs(-1.0)
-    fam = OperatorFamily.from_asymptotes(left, left)
+    fam = BlendFamily(left, left)
     res = spectral_flow_matrix(fam)
     assert res.value == 0 and res.crossings == []
     assert spectral_flow_galerkin(fam, modes=8).value == 0
@@ -199,7 +198,7 @@ def test_affine_increments_are_formed_once_per_family(monkeypatch):
     rng = np.random.default_rng(5)
     left, right = (specflow.random_coefficients(Dimensions(1, 1), rng)
                    for _ in range(2))
-    fam = OperatorFamily.from_asymptotes(left, right)
+    fam = BlendFamily(left, right)
     fam.return_data_at(np.linspace(fam.s_min, fam.s_max, 513))
     fam.return_data_at(np.array([-1.0, 0.0, 1.0]))
     assert calls == [(5, 512, 3, 3)]
@@ -283,10 +282,7 @@ def test_w_scan_crossing_reproduces_its_matrix_at_s():
 
 def test_table_family_keeps_the_s_scan():
     fam = split_tanh_family(alpha=ALPHA, n_theta=64)
-    table_fam = OperatorFamily(fam.dims, fam.s_grid, *_family_tables(fam))
-    assert fam.affine and not table_fam.affine
-    with pytest.raises(InvalidInput):
-        table_fam.profile_path()
+    table_fam = TableFamily(fam.dims, _s_grid(), *_family_tables(fam))
     res = spectral_flow_matrix(table_fam)
     assert res.details["scan"] == "s" and res.details["index"].samples == 512
     assert res.value == 1
@@ -299,7 +295,7 @@ def test_non_monotone_profile_keeps_the_s_scan():
     left, right = _anchor_coeffs(-1.0), _anchor_coeffs(1.0)
     s_grid = np.linspace(-16.0, 16.0, 161)
     w = 0.5 * (1.0 + np.tanh(s_grid)) - s_grid * np.exp(-s_grid * s_grid)
-    fam = OperatorFamily(left.dims, s_grid, *_blended_tables(left, right, w))
+    fam = TableFamily(left.dims, s_grid, *_blended_tables(left, right, w))
     res = spectral_flow_matrix(fam)
     assert res.details["scan"] == "s" and res.details["index"].samples == 512
     assert res.value == 1
@@ -397,14 +393,14 @@ def test_family_input_validation():
     left = _anchor_coeffs(-1.0)
     wrong = _anchor_coeffs(1.0, m=2)
     with pytest.raises(InvalidInput):
-        OperatorFamily.from_asymptotes(left, wrong)
+        BlendFamily(left, wrong)
     dims = left.dims
     short = np.linspace(-1.0, 1.0, 4)
     with pytest.raises(ShapeError):
-        OperatorFamily(dims, short,
-                       np.zeros((4, 8, dims.loop, dims.loop)),
-                       np.zeros((4, 8, dims.m, dims.loop)),
-                       np.zeros((4, 8, dims.m, dims.m)))
+        TableFamily(dims, short,
+                    np.zeros((4, 8, dims.loop, dims.loop)),
+                    np.zeros((4, 8, dims.m, dims.loop)),
+                    np.zeros((4, 8, dims.m, dims.m)))
 
 
 def test_family_construction_stays_in_bounded_memory():
@@ -419,8 +415,13 @@ def test_family_construction_stays_in_bounded_memory():
     assert peak < 48 * 2 ** 20
 
 
+def _s_grid():
+    """The 161-point grid on which tests sample a blend as a table family."""
+    return np.linspace(-S_SPAN, S_SPAN, 161)
+
+
 def _blended_tables(left, right, w):
-    """(S, C, D) tables left + w(s_i) (right - left), as from_asymptotes
+    """(S, C, D) tables left + w(s_i) (right - left), as BlendFamily
     defines its family."""
     w = w[:, None, None, None]
     return [a[None] + w * (b - a)[None]
@@ -429,7 +430,7 @@ def _blended_tables(left, right, w):
 
 def _family_tables(fam):
     return _blended_tables(fam.left_asymptote(), fam.right_asymptote(),
-                           0.5 * (1.0 + np.tanh(fam.s_grid)))
+                           0.5 * (1.0 + np.tanh(_s_grid())))
 
 
 def _perturbed_tables(fam, seed, size=0.05):
@@ -440,7 +441,7 @@ def _perturbed_tables(fam, seed, size=0.05):
     grid so the ends stay frozen.
     """
     rng = np.random.default_rng(seed)
-    s = fam.s_grid
+    s = _s_grid()
     mix = np.exp(-((s[:, None] - s[None, :]) / 0.5) ** 2)
     mix *= size * np.exp(-(s / 2.0) ** 2)[:, None]
     out = []
@@ -463,8 +464,8 @@ def _componentwise_spline_return_data(dims, s_grid, tables, s_vals):
 def test_table_family_matches_componentwise_spline(seed, dims):
     fam = random_operator_family(dims, seed=seed, n_theta=128)
     tables = _perturbed_tables(fam, seed)
-    table_fam = OperatorFamily(dims, fam.s_grid, *tables)
-    grid = fam.s_grid
+    grid = _s_grid()
+    table_fam = TableFamily(dims, grid, *tables)
     s_vals = np.concatenate([[grid[0] - 1.0], grid[::16], grid[-1:],
                              np.linspace(-3.1, 2.9, 13), [grid[-1] + 1.0]])
     got = table_fam.return_data_at(s_vals)
@@ -478,29 +479,23 @@ def test_table_family_matches_componentwise_spline(seed, dims):
     np.testing.assert_array_equal(table_fam.right_asymptote().c, tables[1][-1])
 
 
-def _combined_sets(fam, sets, s):
-    """(S, C, D) at s as sum_j u_j(s) B_j over the family's basis sets."""
-    idx, u = fam._weights(np.array([float(s)]))
-    return [specflow._combine(b, idx, u)[0] for b in sets]
-
-
 def test_coefficients_are_read_back_exactly_from_the_node_tables():
+    # (S, C, D) at s is sum_j u_j(s) B_j over the rows and spline slopes
     rng = np.random.default_rng(1001)
     left, right = (specflow.random_coefficients(Dimensions(2, 1), rng, n_theta=64)
                    for _ in range(2))
-    fam = OperatorFamily.from_asymptotes(left, right)
+    fam = BlendFamily(left, right)
     tables = _family_tables(fam)
-    table_fam = OperatorFamily(fam.dims, fam.s_grid, *tables)
-    table_sets = [np.concatenate([t, specflow._spline_slopes(fam.s_grid, t)])
-                  for t in tables]
-    affine_sets = [np.stack([a, b - a]) for a, b in
-                   ((left.s, right.s), (left.c, right.c), (left.d, right.d))]
-    for family, sets in ((table_fam, table_sets), (fam, affine_sets)):
-        for s in (fam.s_min - 1.0, fam.s_min, -2.3, fam.s_grid[70], 0.61, fam.s_max):
-            got = family.coefficients_at(s)
-            want = OperatorCoefficients(fam.dims, *_combined_sets(family, sets, s))
-            for name in "scd":
-                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    grid = _s_grid()
+    table_fam = TableFamily(fam.dims, grid, *tables)
+    sets = [np.concatenate([t, specflow._spline_slopes(grid, t)]) for t in tables]
+    for s in (grid[0] - 1.0, grid[0], -2.3, grid[70], 0.61, grid[-1]):
+        got = table_fam.coefficients_at(s)
+        idx, u = table_fam._weights(np.array([s]))
+        want = OperatorCoefficients(fam.dims,
+                                    *(specflow._combine(b, idx, u)[0] for b in sets))
+        for name in "scd":
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     for name, table in zip("scd", tables):
         np.testing.assert_array_equal(getattr(table_fam.left_asymptote(), name), table[0])
         np.testing.assert_array_equal(getattr(table_fam.right_asymptote(), name), table[-1])
@@ -508,17 +503,20 @@ def test_coefficients_are_read_back_exactly_from_the_node_tables():
 
 def test_table_family_keeps_only_its_k_tables():
     # the (2, 2) family on 161 x 512: node and midpoint K tables of the
-    # 322 basis sets take 95 MB; the sets themselves would add 37 MB
+    # 322 basis sets take 95 MB; the sets themselves would add 37 MB.  The
+    # slope half is built from the rows' K tables, so the construction
+    # peaks at one slope half (24 MB) above them
     fam = random_operator_family(Dimensions(2, 2), seed=1003)
     tables = _family_tables(fam)
     tracemalloc.start()
     try:
-        table_fam = OperatorFamily(fam.dims, fam.s_grid, *tables)
-        held = tracemalloc.get_traced_memory()[0]
+        table_fam = TableFamily(fam.dims, _s_grid(), *tables)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert table_fam.n_theta == 512
     assert held < 100 * 2 ** 20
+    assert peak < 120 * 2 ** 20
 
 
 def test_spectralflow_cli_reads_dense_family_file(tmp_path, capsys):
@@ -526,7 +524,7 @@ def test_spectralflow_cli_reads_dense_family_file(tmp_path, capsys):
     s_table, c_table, d_table = _family_tables(fam)
     path = tmp_path / "dense.json"
     path.write_text(json.dumps({
-        "kind": "dense_family", "n": 1, "m": 1, "s_grid": fam.s_grid.tolist(),
+        "kind": "dense_family", "n": 1, "m": 1, "s_grid": _s_grid().tolist(),
         "theta_grid": (np.arange(64) / 64).tolist(), "S": s_table.tolist(),
         "C": c_table.tolist(), "D": d_table.tolist()}))
     rc = main(["spectralflow", str(path), "--modes", "8", "--json"])
@@ -540,21 +538,21 @@ def test_drifting_ends_are_rejected():
     left, right = _anchor_coeffs(-1.0), _anchor_coeffs(1.0)
     s_grid = np.linspace(-16.0, 16.0, 161)
     with pytest.raises(InvalidInput, match="asymptotically constant"):
-        OperatorFamily(left.dims, s_grid,
-                       *_blended_tables(left, right, 0.5 + s_grid / 32.0))
+        TableFamily(left.dims, s_grid,
+                    *_blended_tables(left, right, 0.5 + s_grid / 32.0))
 
 
 def test_every_affine_family_blends_by_the_closed_form_weight():
-    # the blend is frozen at its grid-end weights bit for bit, so the
-    # asymptotes are the given ends, and it increases on the grid while
-    # moving far below the edge check of a table family; each w-scan
-    # crossing goes back to s by blend_inverse, and its form scales by
-    # blend_slope
+    # the blend is frozen at its end weights w(-+S_SPAN) bit for bit, so
+    # the asymptotes are the given ends, and it increases on a 161-point
+    # grid while moving far below the edge check of a table family; each
+    # w-scan crossing goes back to s by blend_inverse, and its form scales
+    # by blend_slope
     fam = split_tanh_family(alpha=ALPHA, n_theta=64)
-    ends = 0.5 * (1.0 + np.tanh(fam.s_grid))[[0, -1]]
+    ends = 0.5 * (1.0 + np.tanh(_s_grid()))[[0, -1]]
     far = np.array([-40.0, fam.s_min, fam.s_max, 40.0])
     assert np.array_equal(specflow.blend(far), ends[[0, 0, 1, 1]])
-    on_grid = specflow.blend(fam.s_grid)
+    on_grid = specflow.blend(_s_grid())
     assert np.all(np.diff(on_grid) > 0.0)
     edge = max(2, int(np.ceil(specflow.EDGE_FRACTION * len(on_grid))))
     assert np.max(np.abs(on_grid[:edge] - on_grid[0])) <= 1e-11
@@ -567,3 +565,31 @@ def test_every_affine_family_blends_by_the_closed_form_weight():
     h = 1e-6
     central = (specflow.blend(s + h) - specflow.blend(s - h)) / (2 * h)
     assert np.max(np.abs(central - [specflow.blend_slope(x) for x in s])) <= 1e-9
+
+
+@pytest.mark.parametrize("dims", [Dimensions(1, 1), Dimensions(2, 1),
+                                  Dimensions(1, 2), Dimensions(2, 2)])
+def test_blend_coefficients_are_the_blend_of_the_ends(dims):
+    # the asymptote arithmetic left + w(s) (right - left), bit for bit,
+    # at the frozen ends and beyond them too
+    rng = np.random.default_rng(dims.n + 2 * dims.m)
+    left, right = (specflow.random_coefficients(dims, rng, n_theta=64)
+                   for _ in range(2))
+    fam = BlendFamily(left, right)
+    for s in (-40.0, -16.0, -2.3, 0.0, 0.61, 16.0, 40.0):
+        w = specflow.blend(np.array([s]))[0]
+        got = fam.coefficients_at(s)
+        for name in "scd":
+            a, b = getattr(left, name), getattr(right, name)
+            np.testing.assert_array_equal(getattr(got, name), a + w * (b - a))
+
+
+def test_return_data_at_is_defined_on_the_base_class_only():
+    # bench/tracing.py wraps OperatorFamily.__dict__["return_data_at"] to
+    # count propagated matrices; an override in a subclass would escape it
+    assert "return_data_at" in vars(OperatorFamily), (
+        "bench/tracing.py patches OperatorFamily.return_data_at")
+    for cls in (BlendFamily, TableFamily):
+        assert "return_data_at" not in vars(cls), (
+            f"{cls.__name__} overrides return_data_at, which bench/tracing.py "
+            "patches on OperatorFamily only")
