@@ -76,6 +76,31 @@ def _as_array(value, name: str, ndim: Optional[int] = None) -> np.ndarray:
     return arr
 
 
+def _number(data: dict, key: str, default=None, integer: bool = False,
+            minimum: Optional[int] = None):
+    """data[key], or default when it is absent, as a float or an int.
+
+    Refused: a bool, a non-number, NaN, an infinity or a number beyond the
+    float range, a fractional value of an integer field, a value below
+    minimum."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInput(f"{key} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise InvalidInput(f"{key} must be finite, got {value!r}")
+    if integer and value != int(value):
+        raise InvalidInput(f"{key} must be an integer, got {value!r}")
+    value = int(value) if integer else float(value)
+    if minimum is not None and value < minimum:
+        raise InvalidInput(f"{key} must be at least {minimum}, got {value}")
+    return value
+
+
+def _dims(data: dict, default=None) -> Dimensions:
+    return Dimensions(_number(data, "n", default, integer=True),
+                      _number(data, "m", default, integer=True))
+
+
 def _load_path_file(path_file: str, cfg: RunConfig
                     ) -> Tuple[SymplecticPath, Optional[KernelFamily]]:
     """Build (path, built-in kernel family or None) from a path file."""
@@ -93,7 +118,7 @@ def _load_path_file(path_file: str, cfg: RunConfig
         return snm.to_path(), KernelFamily.dual_slot(snm.dims)
     if kind == "snm_samples":
         _require(data, kind, "n", "m", "theta", "psi", "x", "e")
-        dims = Dimensions(int(data["n"]), int(data["m"]))
+        dims = _dims(data)
         snm = SnmPath.from_samples(
             dims, _as_array(data["theta"], "theta", ndim=1),
             _as_array(data["psi"], "psi"), _as_array(data["x"], "x"),
@@ -113,8 +138,7 @@ def _load_path_file(path_file: str, cfg: RunConfig
         return path, None
     if kind == "rabinowitz":
         _require(data, kind, "lambda", "k1", "k2")
-        rd = RabinowitzData(float(data["lambda"]), float(data["k1"]),
-                            float(data["k2"]))
+        rd = RabinowitzData(*(_number(data, key) for key in ("lambda", "k1", "k2")))
         return (rabinowitz_block_path(rd, sample_hint=cfg.sample_hint).to_path(),
                 rabinowitz_block_family())
     raise InvalidInput(
@@ -129,7 +153,7 @@ def _load_family_file(family_file: str, cfg: RunConfig) -> OperatorFamily:
         if cfg.sample_hint != RunConfig().sample_hint:
             raise InvalidInput("a dense_family file brings its own theta_grid: "
                                "leave sample_hint at its default")
-        dims = Dimensions(int(data["n"]), int(data["m"]))
+        dims = _dims(data)
         theta = _as_array(data["theta_grid"], "theta_grid", ndim=1)
         want = np.arange(len(theta)) / max(len(theta), 1)
         if len(theta) and float(np.max(np.abs(theta - want))) > 1e-12:
@@ -141,15 +165,14 @@ def _load_family_file(family_file: str, cfg: RunConfig) -> OperatorFamily:
                            _as_array(data["D"], "D", ndim=4))
     if kind == "random_family":
         _require(data, kind, "seed")
-        dims = Dimensions(int(data.get("n", 1)), int(data.get("m", 1)))
         return random_operator_family(
-            dims, int(data["seed"]), n_theta=cfg.sample_hint,
-            degree=int(data.get("degree", 3)),
-            alpha=float(data.get("alpha", 0.8)))
+            _dims(data, 1), _number(data, "seed", integer=True, minimum=0),
+            n_theta=cfg.sample_hint, degree=_number(data, "degree", 3, integer=True),
+            alpha=_number(data, "alpha", 0.8))
     if kind == "split_tanh":
-        return split_tanh_family(alpha=float(data.get("alpha", 1.2)),
-                                 m=int(data.get("m", 1)),
-                                 n=int(data.get("n", 1)),
+        return split_tanh_family(alpha=_number(data, "alpha", 1.2),
+                                 m=_number(data, "m", 1, integer=True),
+                                 n=_number(data, "n", 1, integer=True),
                                  n_theta=cfg.sample_hint)
     raise InvalidInput(
         f"unknown family kind {kind!r}; choose from {', '.join(FAMILY_KINDS)}")
@@ -222,11 +245,10 @@ def _build_system(name: str, params: dict):
             _as_array(params.get("G", [[0.4, 0.0]]), "G", ndim=2),
             _as_array(params.get("F", [[1.0]]), "F", ndim=2))
     if name == "rabinowitz_flat":
-        lam = params.get("lam")
-        return radial_system(float(params.get("slope", -1.0)),
-                             float(params.get("curvature", 0.5)),
-                             turns=int(params.get("turns", 1)),
-                             lam=None if lam is None else float(lam))
+        lam = None if params.get("lam") is None else _number(params, "lam")
+        return radial_system(_number(params, "slope", -1.0),
+                             _number(params, "curvature", 0.5),
+                             turns=_number(params, "turns", 1, integer=True), lam=lam)
     raise InvalidInput(
         f"unknown system {name!r}; choose from {', '.join(SYSTEM_NAMES)}")
 

@@ -56,7 +56,6 @@ from .snm import Dimensions, SnmElement, assemble_blocks
 BLOWUP_LIMIT = 1e8
 SYMPLECTIC_LOSS = 1e-6
 _STEP_BLOCK = 64
-_TABLE_BLOCK = 64
 _AFFINE_NODES = 5   # Delta has degree 4 in w
 
 
@@ -229,8 +228,9 @@ def generator_tables(dims: Dimensions, s, c, d):
     the node table is written in place; the midpoint table is the
     spectral midpoint interpolant of the node table, which is linear and
     acts entrywise, so it equals K built from interpolated coefficients.
-    It is taken _TABLE_BLOCK batch entries at a time, which bounds the
-    FFT's complex temporaries and changes no value.
+    The FFT's complex temporaries grow with the batch, which the callers
+    keep small: one path's set, a blend's two sets, or a table family's
+    chunk of at most 64 s values.
     """
     batch, n_theta = s.shape[:2]
     size = dims.loop + dims.m
@@ -241,24 +241,7 @@ def generator_tables(dims: Dimensions, s, c, d):
     _j0_times(dims, s, j0s_k)
     _j0_times(dims, np.swapaxes(c, -1, -2), j0ct_k)
     nodes[:, -1] = nodes[:, 0]
-    mids = np.empty((batch, n_theta, size, size))
-    for i in range(0, batch, _TABLE_BLOCK):
-        mids[i:i + _TABLE_BLOCK] = periodic_midpoints(nodes[i:i + _TABLE_BLOCK, :-1],
-                                                      axis=1)
-    return nodes, mids
-
-
-def generator_coefficients(dims: Dimensions, k: np.ndarray):
-    """(S, C, D) read back from K; the inverse of generator.
-
-    C and D are copies of K's blocks, and S = -J0 (J0 S) is a signed
-    copy too, so the values are exactly those K was built from.
-    """
-    c, d, j0s, _ = _quarters(dims, k)
-    s = np.empty(j0s.shape)
-    _j0_times(dims, j0s, s)
-    np.negative(s, out=s)
-    return s, c.copy(), d.copy()
+    return nodes, periodic_midpoints(nodes[:, :-1], axis=1)
 
 
 def _step_increments(dims: Dimensions, k_lo: np.ndarray, k_mid: np.ndarray,

@@ -22,14 +22,13 @@ path derivative, from the endpoint-block display, and from the reduced
 
 A TableFamily is the componentwise cubic spline in s of its coefficient
 tables; a BlendFamily of two asymptotes is left + w(s) (right - left).
-The generator K of the theta-ODE is linear in the coefficients, and so
-is a spline, so a table family keeps the K tables of its rows and of
-their spline node slopes, built once, and forms K(s) from four of them
-with cubic Hermite weights, term by term in a fixed order, so an s
-value's return data is the same in every batch.  A blend is affine in
-one scalar, so its RK4 step increments are tabulated once and combined
-per s instead.  Each end's kernel is integrated once per family
-(OperatorFamily) and shared by the generator's retry,
+A table family keeps one B-spline per table (scipy's
+make_interp_spline), the size of the table, and builds the K tables of
+the theta-ODE per chunk of s values from the splines' values there.  A
+blend is affine in one scalar, so its RK4 step increments are tabulated
+once and combined per s instead.  Either way an s value's return data
+is the same in every batch.  Each end's kernel is integrated once per
+family (OperatorFamily) and shared by the generator's retry,
 spectral_flow_matrix and main_theorem_check.
 
 With its ends fixed, spectral flow is a homotopy invariant, so the
@@ -69,11 +68,10 @@ from typing import Callable, List
 import numpy as np
 from numpy.polynomial import chebyshev
 from scipy.fft import dct
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import make_interp_spline
 
 from .coefficients import (AffineIncrements, OperatorCoefficients, PathData,
-                           generator_coefficients, generator_tables,
-                           path_from_coefficients, return_data)
+                           generator_tables, path_from_coefficients, return_data)
 from .errors import (DegenerateAsymptote, InvalidInput, ShapeError,
                      TruncationUnstable)
 from .flows import parametrized_rs_index
@@ -96,50 +94,6 @@ SERIES_DEGREE = 16
 SERIES_MAX_DEGREE = 128
 SERIES_TAIL_TOL = 1e-14
 _S_CHUNK = 64
-_ROW_CHUNK = 32
-
-
-def _spline_slopes(s_grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Node slopes of the not-a-knot cubic spline of values (axis 0).
-
-    The slopes are a fixed linear map of the values: row i of the map is
-    the slope at node i of each cardinal spline (the spline of a unit
-    vector), so one small spline serves tables of any shape.
-    """
-    cardinal = CubicSpline(s_grid, np.eye(len(s_grid)), axis=0)(s_grid, 1)
-    return np.tensordot(cardinal, values, axes=1)
-
-
-def _hermite(s_grid: np.ndarray, s: np.ndarray):
-    """Interval index i of each s and its cubic Hermite weights.
-
-    The weights (h00, dh10, h01, dh11) multiply the value at s_i, the
-    slope at s_i, the value at s_i+1 and the slope at s_i+1; at a node
-    they are exactly (1, 0, 0, 0), or (0, 0, 1, 0) at the last node.
-    s outside the grid is moved to its nearer end.
-    """
-    s = np.clip(s, s_grid[0], s_grid[-1])
-    i = np.clip(np.searchsorted(s_grid, s, side="right") - 1, 0, len(s_grid) - 2)
-    step = s_grid[i + 1] - s_grid[i]
-    t = (s - s_grid[i]) / step
-    r = 1.0 - t
-    return i, np.stack([(1.0 + 2.0 * t) * r * r, step * t * r * r,
-                        t * t * (3.0 - 2.0 * t), step * t * t * (t - 1.0)], axis=1)
-
-
-def _combine(sets: np.ndarray, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_j u[:, j] sets[idx[:, j]], one term at a time, elementwise.
-
-    idx and u are (B, k): the k set indices of each of B values of s and
-    their weights.  The terms are added in a fixed order by elementwise
-    operations only, so the value for one s does not depend on the batch
-    it is part of.
-    """
-    shape = (len(u),) + (1,) * (sets.ndim - 1)
-    out = u[:, 0].reshape(shape) * sets[idx[:, 0]]
-    for j in range(1, u.shape[1]):
-        out += u[:, j].reshape(shape) * sets[idx[:, j]]
-    return out
 
 
 def _in_chunks(data: Callable, values: np.ndarray):
@@ -350,20 +304,15 @@ class TableFamily(OperatorFamily):
     Between its s-grid points the family is the componentwise
     not-a-knot cubic spline of its samples at (s_i, theta_j), theta_j =
     j/N, and outside the grid it is frozen at the end samples.  The
-    generator K of the theta-ODE (coefficients.py) is linear in (S, C,
-    D), and so are its spectral midpoint table and the spline.  So the
-    family keeps the node and midpoint K tables of 2 ns basis sets, the
-    table rows and their spline node slopes, and K(s) is the sum of four
-    of them with the cubic Hermite weights of the interval containing s.
-    The slope half is the slope map (_spline_slopes) applied to the
-    rows' K tables, which are written in place _ROW_CHUNK rows at a
-    time, so neither the slope sets nor a copy of the tables is built.
-    The sums run term by term in a fixed order with elementwise
-    operations (_combine), so an s value's K tables, and its return
-    data, do not depend on the batch it is evaluated in.  At the grid
-    ends the weights are exact, so the asymptotes are the end samples
-    bit for bit; coefficients_at reads (S, C, D) back from the node
-    tables, exactly.  spectral_flow_matrix scans the family in s.
+    family keeps one cubic B-spline per table (make_interp_spline, k =
+    3, along s), which takes the memory of the table itself, and no K
+    table: a chunk of return_data_at evaluates the three splines at its
+    s values and builds their K tables there (generator_tables).  A
+    spline is evaluated point by point, so an s value's coefficients,
+    and its return data, do not depend on the batch it is evaluated in.
+    The clamped B-spline takes its end coefficients at the grid ends, so
+    the asymptotes are the end samples bit for bit.
+    spectral_flow_matrix scans the family in s.
     """
 
     def __init__(self, dims: Dimensions, s_grid: np.ndarray, s_table: np.ndarray,
@@ -383,17 +332,7 @@ class TableFamily(OperatorFamily):
                 raise ShapeError(f"{name} table shape mismatch")
         _validate_tables(tables)
         self.dims, self.s_grid, self.n_theta = dims, s_grid, n_theta
-        size = dims.loop + dims.m
-        self._nodes = np.empty((2 * ns, n_theta + 1, size, size))
-        self._mids = np.empty((2 * ns, n_theta, size, size))
-        for i in range(0, ns, _ROW_CHUNK):
-            rows = slice(i, min(i + _ROW_CHUNK, ns))
-            self._nodes[rows], self._mids[rows] = generator_tables(
-                dims, *(t[rows] for t in tables))
-        for k in (self._nodes, self._mids):
-            k[ns:] = _spline_slopes(s_grid, k[:ns])
-        # the wrap node is node 0 exactly, as generator_tables makes it
-        self._nodes[ns:, -1] = self._nodes[ns:, 0]
+        self._splines = tuple(make_interp_spline(s_grid, t, k=3, axis=0) for t in tables)
 
     @property
     def s_min(self) -> float:
@@ -403,22 +342,18 @@ class TableFamily(OperatorFamily):
     def s_max(self) -> float:
         return float(self.s_grid[-1])
 
-    def _weights(self, s: np.ndarray):
-        """The set indices and Hermite weights (idx, u) of each s, for _combine."""
-        i, u = _hermite(self.s_grid, s)
-        ns = len(self.s_grid)
-        return np.stack([i, ns + i, i + 1, ns + i + 1], axis=1), u
+    def _tables_at(self, s: np.ndarray):
+        """The (S, C, D) samples at each s, moved into the grid first."""
+        s = np.clip(s, self.s_grid[0], self.s_grid[-1])
+        return tuple(spline(s) for spline in self._splines)
 
     def coefficients_at(self, s: float) -> OperatorCoefficients:
-        """(S, C, D) at s, read back from the combined K node table."""
-        idx, u = self._weights(np.array([float(s)]))
-        k = _combine(self._nodes, idx, u)[0, :-1]
-        return OperatorCoefficients(self.dims, *generator_coefficients(self.dims, k))
+        """(S, C, D) at s, from the three splines."""
+        return OperatorCoefficients(self.dims, *(t[0] for t in
+                                                 self._tables_at(np.array([float(s)]))))
 
     def _return_data_chunk(self, s: np.ndarray):
-        idx, u = self._weights(s)
-        return return_data(self.dims, _combine(self._nodes, idx, u),
-                           _combine(self._mids, idx, u))
+        return return_data(self.dims, *generator_tables(self.dims, *self._tables_at(s)))
 
 
 def _validate_tables(tables) -> None:

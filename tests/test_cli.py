@@ -268,6 +268,36 @@ def test_spectralflow_refuses_non_finite_family_input(tmp_path, capsys, family):
     assert "finite" in error["message"]
 
 
+@pytest.mark.parametrize("command,body", [
+    ("spectralflow", '{"kind": "random_family", "seed": NaN}'),
+    ("spectralflow", '{"kind": "random_family", "seed": -1}'),
+    ("spectralflow", '{"kind": "random_family", "seed": true}'),
+    ("spectralflow", '{"kind": "random_family", "seed": 0, "degree": 1e400}'),
+    ("spectralflow", '{"kind": "split_tanh", "m": Infinity}'),
+    ("spectralflow", '{"kind": "split_tanh", "m": 1.7}'),
+    ("index", '{"kind": "snm_samples", "n": NaN, "m": 1, "theta": [0, 1], '
+              '"psi": [], "x": [], "e": []}'),
+    ("index", '{"kind": "rabinowitz", "lambda": "abc", "k1": 1, "k2": 2}'),
+    ("index", '{"kind": "rabinowitz", "lambda": [1], "k1": 1, "k2": 2}'),
+    ("paramindex", '{"turns": NaN}'),
+    ("paramindex", '{"slope": "x"}')],
+    ids=["seed-nan", "seed-negative", "seed-bool", "degree-1e400", "m-inf",
+         "m-fractional", "n-nan", "lambda-string", "lambda-list", "turns-nan",
+         "slope-string"])
+def test_scalar_input_fields_are_checked(tmp_path, capsys, command, body):
+    # every scalar a path, family or params file gives goes through one
+    # reader: a bool, a non-number, a non-finite or fractional integer, or
+    # a negative seed exits 2 before it reaches a computation
+    source = tmp_path / "input.json"
+    source.write_text(body)
+    if command == "paramindex":
+        argv = ["paramindex", "rabinowitz_flat", "--params", str(source)]
+    else:
+        argv = [command, str(source)]
+    assert main(argv + ["--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "INVALID_INPUT"
+
+
 @pytest.mark.parametrize("knob", ["--tol-sv", "--config"])
 def test_spectralflow_refuses_tolerances(tmp_path, capsys, knob):
     fam = _write(tmp_path, "tanh.json", {"kind": "split_tanh", "m": 1})

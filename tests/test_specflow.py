@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from sympind import (BlendFamily, Dimensions, KernelFamily, OperatorCoefficients,
-                     OperatorFamily, TableFamily, coefficients,
+from sympind import (BlendFamily, Dimensions, KernelFamily, OperatorFamily,
+                     TableFamily, coefficients,
                      path_from_coefficients, rs_index_stratified,
                      spectral_flow_galerkin, spectral_flow_matrix, specflow)
 from sympind.cli import main
@@ -367,9 +367,12 @@ def test_generator_skips_asymptotes_in_the_ambiguous_band():
     assert main_theorem_check(left, right, fam).ok
 
 
-def test_chunked_return_data_matches_one_at_a_time():
+@pytest.mark.parametrize("kind", ["blend", "table"])
+def test_chunked_return_data_matches_one_at_a_time(kind):
     # 130 values span three s-chunks; the frozen ends are included
     fam = random_operator_family(Dimensions(1, 1), seed=21)
+    if kind == "table":
+        fam = TableFamily(fam.dims, _s_grid(), *_perturbed_tables(fam, 21))
     s_vals = np.linspace(fam.s_min - 1.0, fam.s_max + 1.0, 130)
     psi, x, e = fam.return_data_at(s_vals)
     for i, s in enumerate(s_vals):
@@ -479,33 +482,41 @@ def test_table_family_matches_componentwise_spline(seed, dims):
     np.testing.assert_array_equal(table_fam.right_asymptote().c, tables[1][-1])
 
 
-def test_coefficients_are_read_back_exactly_from_the_node_tables():
-    # (S, C, D) at s is sum_j u_j(s) B_j over the rows and spline slopes
+def test_table_family_reproduces_a_cubic_blend():
+    # a not-a-knot cubic spline is exact on cubics, so the table family of
+    # left + p(s_i) (right - left), p cubic, is that blend between its
+    # grid points.  p vanishes at the first two points and repeats at the
+    # last two, so the outer rows are frozen
     rng = np.random.default_rng(1001)
     left, right = (specflow.random_coefficients(Dimensions(2, 1), rng, n_theta=64)
                    for _ in range(2))
-    fam = BlendFamily(left, right)
-    tables = _family_tables(fam)
-    grid = _s_grid()
-    table_fam = TableFamily(fam.dims, grid, *tables)
-    sets = [np.concatenate([t, specflow._spline_slopes(grid, t)]) for t in tables]
-    for s in (grid[0] - 1.0, grid[0], -2.3, grid[70], 0.61, grid[-1]):
+    grid = np.linspace(-3.0, 3.0, 13)
+    s0, s1, s6, s7 = grid[[0, 1, -2, -1]]
+    # (s - s0)(s - s1)(s - r) takes one value at s6 and s7
+    a, b = (s6 - s0) * (s6 - s1), (s7 - s0) * (s7 - s1)
+    r = (b * s7 - a * s6) / (b - a)
+
+    def p(s):
+        return (s - s0) * (s - s1) * (s - r) / (a * (s6 - r))
+
+    tables = _blended_tables(left, right, p(grid))
+    table_fam = TableFamily(left.dims, grid, *tables)
+    for s in (-2.9, -1.37, -0.2, 0.61, 1.05, 2.44, 2.9):
         got = table_fam.coefficients_at(s)
-        idx, u = table_fam._weights(np.array([s]))
-        want = OperatorCoefficients(fam.dims,
-                                    *(specflow._combine(b, idx, u)[0] for b in sets))
         for name in "scd":
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            lo, hi = getattr(left, name), getattr(right, name)
+            want = lo + p(s) * (hi - lo)
+            scale = float(np.max(np.abs(want)))
+            assert float(np.max(np.abs(getattr(got, name) - want))) <= 1e-13 * scale
     for name, table in zip("scd", tables):
         np.testing.assert_array_equal(getattr(table_fam.left_asymptote(), name), table[0])
         np.testing.assert_array_equal(getattr(table_fam.right_asymptote(), name), table[-1])
 
 
-def test_table_family_keeps_only_its_k_tables():
-    # the (2, 2) family on 161 x 512: node and midpoint K tables of the
-    # 322 basis sets take 95 MB; the sets themselves would add 37 MB.  The
-    # slope half is built from the rows' K tables, so the construction
-    # peaks at one slope half (24 MB) above them
+def test_table_family_holds_only_its_splines():
+    # the (2, 2) family on 161 x 512: the B-spline coefficients of the S, C
+    # and D tables take 17.6 MiB, the size of the tables, while node and
+    # midpoint K tables of the 161 rows alone would take 45 MiB
     fam = random_operator_family(Dimensions(2, 2), seed=1003)
     tables = _family_tables(fam)
     tracemalloc.start()
@@ -515,8 +526,22 @@ def test_table_family_keeps_only_its_k_tables():
     finally:
         tracemalloc.stop()
     assert table_fam.n_theta == 512
-    assert held < 100 * 2 ** 20
-    assert peak < 120 * 2 ** 20
+    assert held < 32 * 2 ** 20
+    assert peak < 48 * 2 ** 20
+
+
+def test_table_family_scan_grid_return_data_stays_in_bounded_memory():
+    # the 513-value grid in _S_CHUNK chunks: each builds the K tables of
+    # its own s values only
+    fam = random_operator_family(Dimensions(2, 2), seed=1003)
+    table_fam = TableFamily(fam.dims, _s_grid(), *_family_tables(fam))
+    tracemalloc.start()
+    try:
+        table_fam.return_path()(np.linspace(table_fam.s_min, table_fam.s_max, 513))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_spectralflow_cli_reads_dense_family_file(tmp_path, capsys):
