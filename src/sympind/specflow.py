@@ -25,11 +25,12 @@ tables; a BlendFamily of two asymptotes is left + w(s) (right - left).
 A table family keeps one B-spline per table (scipy's
 make_interp_spline), the size of the table, and builds the K tables of
 the theta-ODE per chunk of s values from the splines' values there.  A
-blend is affine in one scalar, so its RK4 step increments are tabulated
-once and combined per s instead.  Either way an s value's return data
-is the same in every batch.  Each end's kernel is integrated once per
-family (OperatorFamily) and shared by the generator's retry,
-spectral_flow_matrix and main_theorem_check.
+blend is affine in one scalar w, so it keeps the K tables of its two
+sets and forms K(left) + w K(right - left) per chunk of w values
+instead.  Either way the K tables go to coefficients.return_data, and
+an s value's return data is the same in every batch.  Each end's
+kernel is integrated once per family (OperatorFamily) and shared by
+the generator's retry, spectral_flow_matrix and main_theorem_check.
 
 With its ends fixed, spectral flow is a homotopy invariant, so the
 weight blending two asymptotes cannot change any flow: every such
@@ -70,8 +71,8 @@ from numpy.polynomial import chebyshev
 from scipy.fft import dct
 from scipy.interpolate import make_interp_spline
 
-from .coefficients import (AffineIncrements, OperatorCoefficients, PathData,
-                           generator_tables, path_from_coefficients, return_data)
+from .coefficients import (OperatorCoefficients, PathData, generator_tables,
+                           path_from_coefficients, return_data)
 from .errors import (DegenerateAsymptote, InvalidInput, ShapeError,
                      TruncationUnstable)
 from .flows import parametrized_rs_index
@@ -100,9 +101,11 @@ def _in_chunks(data: Callable, values: np.ndarray):
     """The return data blocks of data(values), _S_CHUNK values at a time.
 
     Only one chunk's propagation is live at once, so a long scan grid
-    stays in bounded memory.
+    stays in bounded memory.  An empty batch is one empty chunk, so it
+    gives empty stacks.
     """
-    parts = [data(values[i:i + _S_CHUNK]) for i in range(0, len(values), _S_CHUNK)]
+    starts = range(0, len(values), _S_CHUNK) or [0]
+    parts = [data(values[i:i + _S_CHUNK]) for i in starts]
     return tuple(np.concatenate(blocks) for blocks in zip(*parts))
 
 
@@ -210,9 +213,8 @@ class OperatorFamily:
         """(Psi, X, E) at theta = 1 for a batch of s values.
 
         The batch is propagated _S_CHUNK s values at a time, so the K
-        tables or step increments of a long scan grid are never all live
-        at once.  An s value's return data does not depend on the chunk
-        it falls in.
+        tables of a long scan grid are never all live at once.  An s
+        value's return data does not depend on the chunk it falls in.
         """
         return _in_chunks(self._return_data_chunk,
                           np.atleast_1d(np.asarray(s_batch, dtype=float)))
@@ -234,19 +236,18 @@ class BlendFamily(OperatorFamily):
     w is the blend weight (1 + tanh s)/2 on [s_min, s_max] = [-S_SPAN,
     S_SPAN] (module notes).  The family keeps the two sets (left,
     right - left) and coefficients_at(s) is left + w(s) (right - left)
-    on them; w(-+S_SPAN) is not exactly 0 or 1.  Its generator K(left) +
-    w K(right - left) has RK4 step increments of degree 4 in w
-    (coefficients.AffineIncrements).  They are tabulated once, here, at
-    5 Chebyshev nodes of [0, 1], which holds the whole range of w, and
-    each chunk of return_data_at combines them with each s value's
-    Lagrange weights, one stacked product per s so that the batch does
-    not change the rounding; no K table is kept or built per s.
+    on them; w(-+S_SPAN) is not exactly 0 or 1.  The node and midpoint
+    K tables of the two sets (generator_tables) are built once, here;
+    each chunk of w values hands K(left) + w K(right - left) to
+    coefficients.return_data (_profile_data), which return_data_at
+    reaches at w(s).  The tables are combined entrywise, so the batch
+    does not change a w value's rounding.
 
     profile_path is the path w -> F(w) over [w(s_min), w(s_max)], where
     return_data_at(s) is F(w(s)), and spectral_flow_matrix scans it at
     W_SCAN_INTERVALS intervals instead of return_path at 512.  That path
-    is the Chebyshev series profile_series, fitted once from the same
-    increment table with as many nodes as its tail needs, or F itself
+    is the Chebyshev series profile_series, fitted once from
+    _profile_data with as many nodes as its tail needs, or F itself
     when the tail has not converged by SERIES_MAX_DEGREE (module notes).
     """
 
@@ -263,20 +264,24 @@ class BlendFamily(OperatorFamily):
         # outer tenth of [s_min, s_max], so the family drifts there by at
         # most 7.6e-12 max|right - left| <= 1.6e-11 size, below
         # ASYMPTOTE_TOL max(1, size) for any asymptotes.
-        self._increments = AffineIncrements(self.dims,
-                                            *generator_tables(self.dims, *self._sets))
+        self._tables = generator_tables(self.dims, *self._sets)
 
     def coefficients_at(self, s: float) -> OperatorCoefficients:
         """(S, C, D) at s: left + w(s) (right - left)."""
         w = blend(np.array([float(s)]))[0]
         return OperatorCoefficients(self.dims, *(a + w * b for a, b in self._sets))
 
+    def _profile_data(self, w: np.ndarray):
+        """(Psi, X, E) of F at a chunk of w: one propagation of K0 + w K1."""
+        scale = w[:, None, None, None]
+        return return_data(self.dims, *(k[0] + scale * k[1] for k in self._tables))
+
     def _return_data_chunk(self, s: np.ndarray):
-        return self._increments.return_data(blend(s))
+        return self._profile_data(blend(s))
 
     def _profile_values(self, w: np.ndarray) -> np.ndarray:
-        """F(w) from the increment table, _S_CHUNK values of w at a time."""
-        return assemble_blocks(self.dims, *_in_chunks(self._increments.return_data, w))
+        """F(w), _S_CHUNK values of w at a time."""
+        return assemble_blocks(self.dims, *_in_chunks(self._profile_data, w))
 
     @cached_property
     def profile_series(self) -> ChebyshevSeries:
@@ -289,7 +294,7 @@ class BlendFamily(OperatorFamily):
 
         F(w(s)) is return_path at s.  The path is profile_series, with
         the series' derivative, when its tail converged; otherwise it is
-        F itself, from the increment table.
+        F itself.
         """
         series = self.profile_series
         domain = (series.lo, series.hi)
@@ -469,8 +474,7 @@ class AsymptoticKernel:
         return snm.psi(thetas) @ (z0 + snm.x(thetas) @ ell)
 
 
-def asymptotic_kernel(coeffs: OperatorCoefficients,
-                      tol_sv: float = TOL_SV) -> AsymptoticKernel:
+def asymptotic_kernel(coeffs: OperatorCoefficients) -> AsymptoticKernel:
     """Solve the endpoint linear system for kernel elements of A.
 
     The count always equals dim ker(M(1) - I) - m; a dimension of zero
@@ -479,8 +483,8 @@ def asymptotic_kernel(coeffs: OperatorCoefficients,
     pd = path_from_coefficients(coeffs)
     el = pd.endpoint()
     red = reduced_return_matrix(el)
-    vecs = kernel_basis(red, tol_sv)
-    stratum = el.stratum(tol_sv)
+    vecs = kernel_basis(red, TOL_SV)
+    stratum = el.stratum(TOL_SV)
     if vecs.shape[1] != stratum:
         raise InvalidInput(
             f"kernel count mismatch: reduced system gives {vecs.shape[1]}, "
@@ -630,6 +634,8 @@ def galerkin_matrix(coeffs: OperatorCoefficients, modes: int) -> np.ndarray:
     band-limited below the Nyquist frequency of their own grid, which
     holds for every generator in this package.
     """
+    if modes < 0:
+        raise InvalidInput(f"modes must be non-negative, got {modes}")
     dims = coeffs.dims
     ln, pm = dims.loop, dims.m
     n_theta = coeffs.n_theta
@@ -663,8 +669,7 @@ def galerkin_matrix(coeffs: OperatorCoefficients, modes: int) -> np.ndarray:
     return sym_part(out)
 
 
-def _galerkin_negatives(coeffs: OperatorCoefficients, modes: int, wide: int,
-                        tol_eig: float) -> dict:
+def _galerkin_negatives(coeffs: OperatorCoefficients, modes: int, wide: int) -> dict:
     """Negative inertia of the form at modes and at wide >= modes, by K.
 
     The matrix is assembled once, at wide; the modes matrix is its rows
@@ -676,7 +681,7 @@ def _galerkin_negatives(coeffs: OperatorCoefficients, modes: int, wide: int,
     keep = np.r_[0:(2 * modes + 1) * ln, (2 * wide + 1) * ln:len(full)]
     negatives = {}
     for k, mat in ((modes, full[np.ix_(keep, keep)]), (wide, full)):
-        ine = inertia(mat, tol_eig)
+        ine = inertia(mat, GALERKIN_EIG_TOL)
         if ine.zero:
             raise TruncationUnstable(
                 "near-zero Galerkin eigenvalue at an asymptote; the endpoint "
@@ -685,12 +690,14 @@ def _galerkin_negatives(coeffs: OperatorCoefficients, modes: int, wide: int,
     return negatives
 
 
-def spectral_flow_galerkin(fam: OperatorFamily, modes: int = GALERKIN_MODES,
-                           tol_eig: float = GALERKIN_EIG_TOL) -> SpectralFlowResult:
+def spectral_flow_galerkin(fam: OperatorFamily,
+                           modes: int = GALERKIN_MODES) -> SpectralFlowResult:
     """Spectral flow as the endpoint inertia difference, checked at two K."""
+    if modes < 0:
+        raise InvalidInput(f"modes must be non-negative, got {modes}")
     wide = modes + GALERKIN_GAP
-    left = _galerkin_negatives(fam.left_asymptote(), modes, wide, tol_eig)
-    right = _galerkin_negatives(fam.right_asymptote(), modes, wide, tol_eig)
+    left = _galerkin_negatives(fam.left_asymptote(), modes, wide)
+    right = _galerkin_negatives(fam.right_asymptote(), modes, wide)
     values = {k: left[k] - right[k] for k in (modes, wide)}
     if values[modes] != values[wide]:
         raise TruncationUnstable(
@@ -722,8 +729,8 @@ class MainTheoremReport:
 
 
 def main_theorem_check(left_pd: PathData, right_pd: PathData,
-                       fam: OperatorFamily, modes: int = GALERKIN_MODES,
-                       tol_sv: float = FLOW_TOL_SV) -> MainTheoremReport:
+                       fam: OperatorFamily,
+                       modes: int = GALERKIN_MODES) -> MainTheoremReport:
     """Compare both spectral flows with the endpoint index difference.
 
     The family's frozen ends must reproduce the supplied asymptote paths;
@@ -748,6 +755,6 @@ def main_theorem_check(left_pd: PathData, right_pd: PathData,
             f"(deviation {repro:.3e} > 1e-6)")
     mu_left = parametrized_rs_index(left_pd).value
     mu_right = parametrized_rs_index(right_pd).value
-    flow_m = spectral_flow_matrix(fam, tol_sv=tol_sv)
+    flow_m = spectral_flow_matrix(fam)
     flow_g = spectral_flow_galerkin(fam, modes=modes)
     return MainTheoremReport(flow_m, flow_g, mu_left, mu_right, repro)

@@ -170,8 +170,8 @@ def test_step_increments_match_stage_by_stage_rk4(monkeypatch, n, m, n_theta):
 
 
 def test_batched_return_data_matches_stage_by_stage_rk4(monkeypatch):
-    # the family combines tabulated increments; the reference builds each
-    # s value's K tables and runs four RK4 stages per step on them
+    # the family combines the K tables of its two sets; the reference builds
+    # each s value's K tables and runs four RK4 stages per step on them
     fam = random_operator_family(Dimensions(2, 2), seed=1003)
     s_vals = np.array([fam.s_min, -2.5, 0.1, 1.7, fam.s_max])
     got = fam.return_data_at(s_vals)
@@ -184,29 +184,7 @@ def test_batched_return_data_matches_stage_by_stage_rk4(monkeypatch):
         _assert_relative_close(g, w)
 
 
-def _affine_increments(left, right):
-    nodes, mids = generator_tables(left.dims, *(np.stack([a, b - a]) for a, b in (
-        (left.s, right.s), (left.c, right.c), (left.d, right.d))))
-    return nodes, mids, coefficients.AffineIncrements(left.dims, nodes, mids)
-
-
-@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 0)])
-def test_affine_increments_are_degree_four_in_w(n, m):
-    # increments formed directly at a sixth w equal the combination of
-    # the five tabulated ones
-    dims = Dimensions(n, m)
-    rng = np.random.default_rng(60 + n + m)
-    left, right = (random_coefficients(dims, rng, n_theta=128) for _ in range(2))
-    nodes, mids, table = _affine_increments(left, right)
-    for w in (0.37, -0.2, 1.3):
-        k_nodes = nodes[0] + w * nodes[1]
-        direct = coefficients._step_increments(dims, k_nodes[:-1], mids[0] + w * mids[1],
-                                               k_nodes[1:], 1.0 / 128)
-        ell = table.lagrange_weights(np.array([w]))[0]
-        _assert_relative_close(np.tensordot(ell, table.table, axes=1), direct)
-
-
-def test_affine_return_data_blowup_is_checked_after_the_last_partial_block():
+def test_blend_return_data_blowup_is_checked_after_the_last_partial_block():
     # J0 S = diag(-25, 25) on N = 100: |Psi| passes 1e8 after step 64
     coeffs = _constant_coeffs(Dimensions(1, 0), [[0.0, 25.0], [25.0, 0.0]],
                               [], [], n_theta=100)
@@ -216,9 +194,9 @@ def test_affine_return_data_blowup_is_checked_after_the_last_partial_block():
 
 
 @pytest.mark.parametrize("case", ["constant", "frozen_ends"])
-def test_affine_return_data_matches_single_path(case):
-    # the increment table is interpolated inside its node interval for
-    # a family with equal ends and for s beyond the grid
+def test_blend_return_data_matches_single_path(case):
+    # the combined K tables match those of each s value's coefficients
+    # for a family with equal ends and for s beyond the grid
     dims = Dimensions(2, 1)
     rng = np.random.default_rng(71)
     left, right = (random_coefficients(dims, rng) for _ in range(2))

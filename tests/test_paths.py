@@ -77,7 +77,7 @@ def _return_path(rec):
 
 def _profile_path(rec):
     fam = split_tanh_family(n_theta=64)
-    fam._increments.return_data = rec(fam._increments.return_data)
+    fam._profile_data = rec(fam._profile_data)
     return fam.profile_path()
 
 
@@ -150,6 +150,13 @@ def test_callbacks_see_only_1d_float_arrays(name):
     assert seen
     for t in seen:
         assert isinstance(t, np.ndarray) and t.ndim == 1 and t.dtype == np.float64
+
+
+@pytest.mark.parametrize("name", sorted(PATHS))
+def test_empty_batch_is_an_empty_stack(name):
+    path = PATHS[name](_recorder()[0])
+    empty = np.array([])
+    assert path(empty).shape == path.deriv(empty).shape == (0, path.size, path.size)
 
 
 def test_snm_element_is_the_one_element_batch():

@@ -104,6 +104,19 @@ def test_galerkin_negative_count_tracks_modes():
         assert int(np.count_nonzero(w < 0)) == 2 * modes
 
 
+def test_negative_modes_are_refused():
+    # modes = 0 keeps the constant profile and the parameter block
+    assert galerkin_matrix(_anchor_coeffs(-1.0), 0).shape == (3, 3)
+    assert spectral_flow_galerkin(split_tanh_family(alpha=ALPHA), modes=0).value == 1
+    with pytest.raises(InvalidInput, match="modes"):
+        galerkin_matrix(_anchor_coeffs(-1.0), -2)
+    for seed in (None, 1001):
+        fam = (split_tanh_family(alpha=ALPHA) if seed is None
+               else random_operator_family(Dimensions(2, 1), seed=seed))
+        with pytest.raises(InvalidInput, match="modes"):
+            spectral_flow_galerkin(fam, modes=-1)
+
+
 @pytest.mark.parametrize("seed,dims", [(1000, Dimensions(1, 1)),
                                        (1003, Dimensions(2, 2))])
 def test_galerkin_flow_assembles_each_end_once(seed, dims, monkeypatch):
@@ -185,23 +198,23 @@ def test_each_asymptote_is_integrated_once_per_family(monkeypatch):
     assert counts == {"asymptotic_kernel": 2, "path_from_coefficients": 2}
 
 
-def test_affine_increments_are_formed_once_per_family(monkeypatch):
-    # the table is built with the family; a scan grid and a short batch
-    # only combine it
+def test_blend_builds_its_k_tables_once(monkeypatch):
+    # the K tables of (left, right - left) are built with the family; a
+    # scan grid and a short batch only combine them
     calls = []
 
-    def counting(*args, _real=coefficients._step_increments):
-        calls.append(args[1].shape)
-        return _real(*args)
+    def counting(dims, *sets, _real=specflow.generator_tables):
+        calls.append(sets[0].shape)
+        return _real(dims, *sets)
 
-    monkeypatch.setattr(coefficients, "_step_increments", counting)
+    monkeypatch.setattr(specflow, "generator_tables", counting)
     rng = np.random.default_rng(5)
     left, right = (specflow.random_coefficients(Dimensions(1, 1), rng)
                    for _ in range(2))
     fam = BlendFamily(left, right)
     fam.return_data_at(np.linspace(fam.s_min, fam.s_max, 513))
     fam.return_data_at(np.array([-1.0, 0.0, 1.0]))
-    assert calls == [(5, 512, 3, 3)]
+    assert calls == [(2, 512, 2, 2)]
 
 
 def test_crossing_pair_two_grid_steps_apart():
@@ -270,7 +283,7 @@ def test_w_scan_matches_the_s_scan(seed, dims):
 
 
 def test_w_scan_crossing_reproduces_its_matrix_at_s():
-    # the w-path and return_data_at share one blend and one increment table
+    # the w-path and return_data_at share one blend and one pair of K tables
     fam = random_operator_family(Dimensions(2, 2), seed=1003)
     res = spectral_flow_matrix(fam)
     (rep,) = res.details["index"].crossings
@@ -305,17 +318,16 @@ def test_non_monotone_profile_keeps_the_s_scan():
 
 def test_w_scan_propagates_fewer_rows(monkeypatch):
     # family 1003: the 17 series nodes and the 3 finite-difference rows of
-    # its one crossing go through the increment table (159 rows for a scan
-    # of the exact w-path, 546 for the s-scan, whose grid alone has 513)
+    # its one crossing are propagated (159 rows for a scan of the exact
+    # w-path, 546 for the s-scan, whose grid alone has 513)
     rows = []
-    real = coefficients.AffineIncrements.return_data
 
-    def counting(self, w):
-        rows.append(len(w))
-        return real(self, w)
+    def counting(dims, nodes, mids, _real=coefficients.return_data):
+        rows.append(len(nodes))
+        return _real(dims, nodes, mids)
 
     fam = random_operator_family(Dimensions(2, 2), seed=1003)
-    monkeypatch.setattr(coefficients.AffineIncrements, "return_data", counting)
+    monkeypatch.setattr(specflow, "return_data", counting)
     spectral_flow_matrix(fam)
     assert sum(rows) == 20
 
